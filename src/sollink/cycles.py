@@ -11,8 +11,6 @@ by the conjugate totally positive fundamental unit.  The symplectic form is
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,7 +120,16 @@ def fiber_coords(x: QuadElem) -> tuple[int, int]:
     return (int(x.b), int(x.a))
 
 
-def _link_components(field: FieldData, comps_n, comps_m) -> Fraction:
+def link_boundary(field: FieldData, n, m) -> Fraction:
+    """Linking number of the norm-n and norm-m boundary families.
+
+    Double sum of min'(mu) * min'(nu) * <g Jmu, Jnu> over component pairs,
+    with J the primitive totally positive direction, g division by (eps - 1),
+    and a global factor 2 for the two signs of each class.  Same-fiber pairs
+    (proportional classes) inherit the positive push-off convention of
+    sol.link_fiber.  This is the reference route; tables use _link_numbers.
+    """
+    comps_n, comps_m = boundary_components(field, n), boundary_components(field, m)
     gm1 = field.eps - 1  # g acts on classes as division by (eps - 1)
     total = Fraction(0)
     for cn in comps_n:
@@ -133,16 +140,29 @@ def _link_components(field: FieldData, comps_n, comps_m) -> Fraction:
     return total
 
 
-def link_boundary(field: FieldData, n, m) -> Fraction:
-    """Linking number of the norm-n and norm-m boundary families.
+def _link_numbers(field: FieldData, ns, ms) -> dict:
+    """Lk(C_n, C_m) for n in ns and m in ms (both ascending), keyed (n, m) in
+    that order.
 
-    Double sum of min'(mu) * min'(nu) * <g Jmu, Jnu> over component pairs,
-    with J the primitive totally positive direction, g division by (eps - 1),
-    and a global factor 2 for the two signs of each class.  Same-fiber pairs
-    (proportional classes) inherit the positive push-off convention of
-    sol.link_fiber.
+    The double sum of link_boundary is bilinear and multiplicity * fiber label
+    is the class rep, so Lk(n, m) = 2*<S_n/(eps - 1), S_m> with S_k the sum of
+    the reduced norm-k reps.  With S_n*(eps - 1)' = p + q*w and S_m = a + b*w
+    the cell is 2*(q*a - p*b)/N(eps - 1), all integers.
     """
-    return _link_components(field, boundary_components(field, n), boundary_components(field, m))
+    coords = {}
+    for k in sorted({*ns, *ms}):
+        s = sum((c.multiplicity * c.fiber_label for c in boundary_components(field, k)), field.element(0))
+        coords[k] = (int(s.a), int(s.b))
+    gm1 = field.eps - 1
+    den = int(gm1.norm())
+    out = {}
+    for n in ns:
+        x = field.element(*coords[n]) * gm1.conj()
+        p, q = int(x.a), int(x.b)
+        for m in ms:
+            a, b = coords[m]
+            out[n, m] = Fraction(2 * (q * a - p * b), den)
+    return out
 
 
 def link_boundary_closed(field: FieldData, n) -> Fraction:
@@ -172,41 +192,10 @@ class LinkTable:
     entries: dict  # (n, m) -> Fraction
 
 
-def thread_count() -> int:
-    """Worker count from SOLLINK_THREADS (integer >= 1), default 1."""
-    raw = os.environ.get("SOLLINK_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"SOLLINK_THREADS must be an integer >= 1, got {raw!r}") from None
-    if value < 1:
-        raise InputError(f"SOLLINK_THREADS must be an integer >= 1, got {raw!r}")
-    return value
-
-
-def link_table(field: FieldData, nmax: int, threads: int | None = None) -> LinkTable:
-    """All pairwise boundary linking numbers for n, m <= nmax.
-
-    Cells are pure and may be computed concurrently; results are merged by
-    sorted key, so the table does not depend on the thread count.
-    """
+def link_table(field: FieldData, nmax: int) -> LinkTable:
+    """All pairwise boundary linking numbers for n, m <= nmax."""
     if nmax < 1:
         raise InputError(f"nmax must be >= 1, got {nmax}")
-    if threads is None:
-        threads = thread_count()
-    comps = {n: boundary_components(field, n) for n in range(1, nmax + 1)}
-    keys = [(n, m) for n in range(1, nmax + 1) for m in range(1, nmax + 1)]
-
-    def cell(key):
-        return _link_components(field, comps[key[0]], comps[key[1]])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(cell, keys))
-    else:
-        values = [cell(k) for k in keys]
-    entries = dict(sorted(zip(keys, values)))
+    ks = range(1, nmax + 1)
     n_det = _sol.glueing_from_unit(field).n_det
-    return LinkTable(d=field.d, nmax=nmax, n_det=n_det, entries=entries)
+    return LinkTable(d=field.d, nmax=nmax, n_det=n_det, entries=_link_numbers(field, ks, ks))

@@ -8,6 +8,7 @@ tests, reduction, or enumeration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,9 +88,27 @@ def make_field(d: int) -> FieldData:
     return FieldData(d)
 
 
+def _coerced(op):
+    """QuadElem operator whose other operand is an int, a Fraction or an element
+    of the same field; any other operand gives NotImplemented."""
+
+    @functools.wraps(op)
+    def wrapper(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = QuadElem(self.field, Fraction(other), Fraction(0))
+        elif not isinstance(other, QuadElem):
+            return NotImplemented
+        elif self.field != other.field:
+            raise InputError("elements belong to different fields")
+        return op(self, other)
+
+    return wrapper
+
+
+@functools.total_ordering
 @dataclass(frozen=True, eq=False)
 class QuadElem:
-    """a + b*w with exact rational coordinates."""
+    """a + b*w with exact rational coordinates; <=, > and >= derive from < and ==."""
 
     field: FieldData
     a: Fraction
@@ -109,38 +128,25 @@ class QuadElem:
             return hash(self.a)
         return hash((self.field.d, self.a, self.b))
 
-    def _check(self, other: "QuadElem") -> None:
-        if self.field != other.field:
-            raise InputError("elements belong to different fields")
-
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
         return QuadElem(self.field, self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
+    @_coerced
     def __sub__(self, other):
-        other = self._coerce(other)
         return QuadElem(self.field, self.a - other.a, self.b - other.b)
 
+    @_coerced
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return other - self
 
     def __neg__(self):
         return QuadElem(self.field, -self.a, -self.b)
 
-    def _coerce(self, other) -> "QuadElem":
-        if isinstance(other, QuadElem):
-            self._check(other)
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadElem(self.field, Fraction(other), Fraction(0))
-        return NotImplemented  # type: ignore[return-value]
-
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         # w^2 = -n0 + s0*w
         f = self.field
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
@@ -149,16 +155,17 @@ class QuadElem:
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other):
-        other = self._coerce(other)
         n = other.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero element")
         num = self * other.conj()
         return QuadElem(self.field, num.a / n, num.b / n)
 
+    @_coerced
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return other / self
 
     def __pow__(self, k: int) -> "QuadElem":
         if not isinstance(k, int):
@@ -231,17 +238,9 @@ class QuadElem:
             w = f.s0 - w
         return float(self.a) + float(self.b) * w
 
+    @_coerced
     def __lt__(self, other):
-        return (self - self._coerce(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - self._coerce(other)).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - self._coerce(other)).sign() > 0
-
-    def __ge__(self, other):
-        return (self - self._coerce(other)).sign() >= 0
+        return (self - other).sign() < 0
 
     def __str__(self) -> str:
         p, q = self.sqrt_coords()

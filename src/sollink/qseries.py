@@ -18,14 +18,14 @@ from fractions import Fraction
 
 from .errors import InputError
 from .qfield import FieldData, enumerate_norm_classes
-from .cycles import link_boundary
+from .cycles import _link_numbers
 from .special_fn import beta_scaled
 
 
 def _fraction_from_str(text: str) -> Fraction:
     try:
         value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational literal: {text!r}") from exc
     return value
 
@@ -88,7 +88,8 @@ def lk_qexpansion(field: FieldData, m: int, nmax: int) -> QExpansion:
         raise InputError(f"m must be >= 1, got {m}")
     if nmax < 1:
         raise InputError(f"nmax must be >= 1, got {nmax}")
-    coeffs = {n: link_boundary(field, n, m) for n in range(1, nmax + 1)}
+    column = _link_numbers(field, range(1, nmax + 1), (m,))
+    coeffs = {n: column[n, m] for n in range(1, nmax + 1)}
     return QExpansion(d=field.d, m=m, weight=2, nmax=nmax, coeffs=coeffs)
 
 
@@ -141,8 +142,9 @@ def holomorphic_ratio_test(field: FieldData, nmax: int, k_range: int) -> RatioRe
         raise InputError(f"nmax must be >= 1, got {nmax}")
     ratios = {}
     omitted, inconsistent = [], []
+    column = _link_numbers(field, range(1, nmax + 1), (1,))
     for n in range(1, nmax + 1):
-        lk = link_boundary(field, n, 1)
+        lk = column[n, 1]
         mn = min_series_coeff(field, n, k_range)
         if lk == 0:
             (omitted if abs(mn) <= 1e-9 else inconsistent).append(n)
@@ -168,6 +170,8 @@ class WEvalParams:
     n_cut: int = 20
 
     def __post_init__(self):
+        if not cmath.isfinite(self.tau):
+            raise InputError(f"tau must be finite, got {self.tau}")
         if not (self.tau.imag > 0):
             raise InputError(f"tau must lie in the upper half plane, got {self.tau}")
         if self.k_range < 1:
@@ -273,6 +277,8 @@ class InteriorTable:
             raise InputError(f"bad m in interior table: {raw.get('m')!r}") from exc
         if m < 1:
             raise InputError(f"interior table m must be >= 1, got {m}")
+        if not isinstance(raw["entries"], dict):
+            raise InputError("interior table 'entries' must be a JSON object")
         entries = {}
         for key, val in raw["entries"].items():
             try:
@@ -295,5 +301,6 @@ def combine_interior(table: InteriorTable, field: FieldData, nmax: int) -> QExpa
     missing = [n for n in range(1, nmax + 1) if n not in table.entries]
     if missing:
         raise InputError(f"interior table is missing n = {', '.join(map(str, missing))}")
-    coeffs = {n: table.entries[n] - link_boundary(field, n, table.m) for n in range(1, nmax + 1)}
+    column = _link_numbers(field, range(1, nmax + 1), (table.m,))
+    coeffs = {n: table.entries[n] - column[n, table.m] for n in range(1, nmax + 1)}
     return QExpansion(d=field.d, m=table.m, weight=2, nmax=nmax, coeffs=coeffs)

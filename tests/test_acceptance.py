@@ -75,7 +75,7 @@ def test_criterion_02_closed_form_cross_validation():
 def test_criterion_03_rationality_and_integrality():
     checked = 0
     for d in (5, 13, 17):
-        table = link_table(field(d), 30, threads=1)
+        table = link_table(field(d), 30)
         for value in table.entries.values():
             assert isinstance(value, Fraction)
             assert (table.n_det * value).denominator == 1

@@ -149,7 +149,7 @@ def test_w_eval_json_deterministic(capsys):
     assert payload["beta"]["re"] < 0
 
 
-@pytest.mark.parametrize("bad_tau", ["1.0", "0.5-2i", "abc", "1+0i"])
+@pytest.mark.parametrize("bad_tau", ["1.0", "0.5-2i", "abc", "1+0i", "nan+1i", "0+1e400i"])
 def test_w_eval_rejects_bad_tau(capsys, bad_tau):
     code, _, err = run(capsys, "w-eval", "--d", "5", "--tau", bad_tau)
     assert code == 2 and "error:" in err
@@ -192,6 +192,15 @@ def test_combine_incomplete_table(tmp_path, capsys):
     assert code == 2 and "missing n = 2, 3" in err
 
 
+@pytest.mark.parametrize("entries", [["1", "2"], {"1": None}])
+def test_combine_rejects_malformed_interior(tmp_path, capsys, entries):
+    table = tmp_path / "interior.json"
+    table.write_text(json.dumps({"m": 1, "entries": entries}), encoding="utf-8")
+    code, out, err = run(capsys, "combine", "--d", "5", "--interior", str(table), "--nmax", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_output_file_matches_stdout(tmp_path, capsys):
     code, out, _ = run(capsys, "qexp", "--d", "13", "--nmax", "4")
     target = tmp_path / "series.json"
@@ -199,19 +208,6 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     capsys.readouterr()
     assert code == code2 == 0
     assert target.read_bytes().decode("utf-8") == out
-
-
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SOLLINK_THREADS", "abc")
-    code, _, err = run(capsys, "lk-table", "--d", "5", "--nmax", "2")
-    assert code == 2 and "SOLLINK_THREADS" in err
-
-
-def test_threads_env_same_output(capsys, monkeypatch):
-    code, base, _ = run(capsys, "lk-table", "--d", "13", "--nmax", "4")
-    monkeypatch.setenv("SOLLINK_THREADS", "4")
-    code2, threaded, _ = run(capsys, "lk-table", "--d", "13", "--nmax", "4")
-    assert code == code2 == 0 and base == threaded
 
 
 def test_self_test_passes(capsys):

@@ -159,29 +159,14 @@ def test_denominators_divide_n_det(field13):
         assert (t.n_det * value).denominator == 1
 
 
-def test_link_table_matches_pointwise(field5):
-    t = link_table(field5, 6)
-    assert t.d == 5 and t.nmax == 6
-    assert set(t.entries) == {(n, m) for n in range(1, 7) for m in range(1, 7)}
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 17, 21])
+def test_link_table_matches_pointwise(d):
+    f = field(d)
+    t = link_table(f, 12)
+    assert t.d == d and t.nmax == 12
+    assert set(t.entries) == {(n, m) for n in range(1, 13) for m in range(1, 13)}
     for (n, m), value in t.entries.items():
-        assert value == link_boundary(field5, n, m)
-
-
-def test_link_table_thread_invariance(field13):
-    assert link_table(field13, 5, threads=1) == link_table(field13, 5, threads=4)
-
-
-def test_thread_count_env(monkeypatch):
-    from sollink.cycles import thread_count
-
-    monkeypatch.delenv("SOLLINK_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("SOLLINK_THREADS", "4")
-    assert thread_count() == 4
-    for bad in ("abc", "0", "-2", "2.5"):
-        monkeypatch.setenv("SOLLINK_THREADS", bad)
-        with pytest.raises(InputError):
-            thread_count()
+        assert value == link_boundary(f, n, m)
 
 
 def test_matches_sol_model(field5):

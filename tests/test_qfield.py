@@ -1,5 +1,6 @@
 """Field arithmetic, units, and norm-class enumeration against brute force."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -175,3 +176,14 @@ def test_reduction_is_orbit_invariant(d, a, b, k):
 def test_cross_field_operations_rejected():
     with pytest.raises(InputError):
         field(5).one + field(13).one
+
+
+@pytest.mark.parametrize(
+    "op", [operator.add, operator.sub, operator.mul, operator.truediv, operator.lt, operator.le, operator.gt, operator.ge]
+)
+def test_foreign_operands_raise_type_error(field5, op):
+    x = field5.element(1, 1)
+    with pytest.raises(TypeError):
+        op(x, 1.5)
+    with pytest.raises(TypeError):
+        op(1.5, x)

@@ -146,6 +146,16 @@ def test_combine_interior_missing_entries(field5):
         combine_interior(sparse, field5, 5)
 
 
+@pytest.mark.parametrize("d,m", [(5, 17), (5, 19), (13, 17)])
+def test_columns_beyond_nmax_match_link_boundary(d, m):
+    f = field(d)
+    expected = {n: link_boundary(f, n, m) for n in range(1, 6)}
+    assert lk_qexpansion(f, m, 5).coeffs == expected
+    interior = InteriorTable(m=m, entries={n: Fraction(n, 7) for n in range(1, 6)})
+    combined = combine_interior(interior, f, 5).coeffs
+    assert combined == {n: Fraction(n, 7) - expected[n] for n in range(1, 6)}
+
+
 def test_eval_params_validation():
     with pytest.raises(InputError):
         WEvalParams(tau=1.0 + 0.0j)
