@@ -11,32 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cycles, qseries, selftest, sol
 from .errors import ConsistencyError, InputError
 from .qfield import make_field
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    d: int | None = None
-    n: int | None = None
-    m: int | None = None
-    nmax: int | None = None
-    k_range: int | None = None
-    box: int | None = None
-    n_cut: int | None = None
-    tau: complex | None = None
-    f: tuple | None = None
-    a: tuple | None = None
-    b: tuple | None = None
-    interior: str | None = None
-    seed: int = 0
-    output: str | None = None
-    format: str = "text"
 
 
 def parse_tau(text: str) -> complex:
@@ -65,10 +44,6 @@ def _complex_str(z: complex) -> str:
     return f"{z.real!r} {op} {abs(z.imag)!r}i"
 
 
-_CSV_COMMANDS = {"qexp", "combine", "lk-table"}
-_JSON_DEFAULT = {"qexp", "combine", "lk-table"}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sollink",
@@ -77,20 +52,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, help_text, *, d=False, needs=()):
+    # tables: csv is allowed and json is the default format
+    def cmd(name, help_text, run, *, d=False, tables=False, needs=()):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run, tables=tables)
         if d:
             p.add_argument("--d", type=int, required=True, help="squarefree field discriminant parameter")
         for flag, kw in needs:
             p.add_argument(flag, **kw)
         p.add_argument("--output", default=None, help="write output to this file instead of stdout")
         p.add_argument("--format", choices=("json", "csv", "text"), default=None)
-        return p
 
-    cmd("field-info", "ring, discriminant, and unit data", d=True)
+    cmd("field-info", "ring, discriminant, and unit data", _run_field_info, d=True)
     cmd(
         "sol-link",
         "exact linking number of two fiber circles",
+        _run_sol_link,
         needs=(
             ("--f", dict(required=True, help="gluing matrix a,b,c,d (row major)")),
             ("--a", dict(required=True, help="first circle class x,y")),
@@ -100,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd(
         "sol-cap",
         "cap chain for a fiber circle, with closure and oracle checks",
+        _run_sol_cap,
         needs=(
             ("--f", dict(required=True, help="gluing matrix a,b,c,d (row major)")),
             ("--a", dict(required=True, help="circle class x,y")),
@@ -108,19 +86,24 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd(
         "boundary",
         "boundary circle families of the norm-n cycle",
+        _run_boundary,
         d=True,
         needs=(("--n", dict(type=int, required=True, help="cycle norm index")),),
     )
     cmd(
         "lk-table",
         "all pairwise boundary linking numbers up to nmax",
+        _run_lk_table,
         d=True,
+        tables=True,
         needs=(("--nmax", dict(type=int, required=True)),),
     )
     cmd(
         "qexp",
         "exact q-expansion of boundary linking numbers against a fixed m",
+        _run_qexp,
         d=True,
+        tables=True,
         needs=(
             ("--m", dict(type=int, default=1)),
             ("--nmax", dict(type=int, required=True)),
@@ -129,6 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd(
         "w-eval",
         "numeric two-part evaluation of the completed series",
+        _run_w_eval,
         d=True,
         needs=(
             ("--tau", dict(required=True, help="upper half plane point, RE+IMi")),
@@ -140,6 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd(
         "ratio-test",
         "min-series / linking-number ratios and their spread",
+        _run_ratio_test,
         d=True,
         needs=(
             ("--nmax", dict(type=int, required=True)),
@@ -149,7 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd(
         "combine",
         "subtract boundary linking from supplied interior numbers",
+        _run_combine,
         d=True,
+        tables=True,
         needs=(
             ("--interior", dict(required=True, help="interior table JSON file")),
             ("--nmax", dict(type=int, required=True)),
@@ -159,37 +146,17 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd(
         "self-test",
         "run all randomized cross-check suites",
+        _run_self_test,
         needs=(("--seed", dict(type=int, default=0)),),
     )
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fmt = getattr(args, "format", None)
-    if fmt is None:
-        fmt = "json" if args.command in _JSON_DEFAULT else "text"
-    if fmt == "csv" and args.command not in _CSV_COMMANDS:
-        raise InputError(f"--format csv is not available for {args.command}")
-    kwargs = dict(command=args.command, format=fmt, output=getattr(args, "output", None))
-    for name in ("d", "n", "m", "nmax", "k_range", "box", "n_cut", "interior", "seed"):
-        if hasattr(args, name):
-            kwargs[name] = getattr(args, name)
-    if hasattr(args, "tau"):
-        kwargs["tau"] = parse_tau(args.tau)
-    if hasattr(args, "f"):
-        v = _parse_ints(args.f, 4, "--f")
-        kwargs["f"] = ((v[0], v[1]), (v[2], v[3]))
-    for name in ("a", "b"):
-        if hasattr(args, name):
-            kwargs[name] = _parse_ints(getattr(args, name), 2, f"--{name}")
-    return RunConfig(**kwargs)
-
-
-def _run_field_info(config: RunConfig) -> tuple[int, str]:
-    field = make_field(config.d)
+def _run_field_info(args: argparse.Namespace) -> tuple[int, str]:
+    field = make_field(args.d)
     basis = "(1 + sqrt(d))/2" if field.d % 4 == 1 else "sqrt(d)"
     m = sol.glueing_from_unit(field)
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "d": field.d,
             "disc": field.disc,
@@ -213,11 +180,14 @@ def _run_field_info(config: RunConfig) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _run_sol_link(config: RunConfig) -> tuple[int, str]:
-    m = sol.make_sol(config.f)
-    value = sol.link_fiber(m, config.a, config.b)
-    if config.format == "json":
-        payload = {"f": list(config.f[0] + config.f[1]), "a": list(config.a), "b": list(config.b), "link": str(value)}
+def _run_sol_link(args: argparse.Namespace) -> tuple[int, str]:
+    f = _parse_ints(args.f, 4, "--f")
+    a = _parse_ints(args.a, 2, "--a")
+    b = _parse_ints(args.b, 2, "--b")
+    m = sol.make_sol((f[:2], f[2:]))
+    value = sol.link_fiber(m, a, b)
+    if args.format == "json":
+        payload = {"f": list(f), "a": list(a), "b": list(b), "link": str(value)}
         return 0, json.dumps(payload, indent=2) + "\n"
     return 0, f"{value}\n"
 
@@ -225,22 +195,24 @@ def _run_sol_link(config: RunConfig) -> tuple[int, str]:
 _CAP_PROBES = ((1, 0), (0, 1), (1, 1), (2, 1), (1, -2))
 
 
-def _run_sol_cap(config: RunConfig) -> tuple[int, str]:
-    m = sol.make_sol(config.f)
-    cap = sol.build_cap(m, config.a)
+def _run_sol_cap(args: argparse.Namespace) -> tuple[int, str]:
+    f = _parse_ints(args.f, 4, "--f")
+    a = _parse_ints(args.a, 2, "--a")
+    m = sol.make_sol((f[:2], f[2:]))
+    cap = sol.build_cap(m, a)
     period = sol.area_period(cap)
     if period != 0:
         raise ConsistencyError(f"cap area period is {period}, expected 0")
     if sol.boundary_cycle(cap) != sol.expected_boundary(cap):
         raise ConsistencyError("cap boundary does not match the requested circle")
     for probe in _CAP_PROBES:
-        direct = sol.link_fiber(m, config.a, probe)
+        direct = sol.link_fiber(m, a, probe)
         counted = sol.cap_intersect(cap, m, probe, Fraction(1, 3))
         if direct != counted:
             raise ConsistencyError(f"oracle mismatch on probe {probe}: {direct} != {counted}")
-    if config.format == "json":
+    if args.format == "json":
         payload = {
-            "f": list(config.f[0] + config.f[1]),
+            "f": list(f),
             "circle_class": list(cap.circle_class),
             "weight": str(cap.weight),
             "monodromy_class": list(cap.monodromy_class),
@@ -262,15 +234,15 @@ def _run_sol_cap(config: RunConfig) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _run_boundary(config: RunConfig) -> tuple[int, str]:
-    field = make_field(config.d)
-    if config.n < 1:
-        raise InputError(f"--n must be >= 1, got {config.n}")
-    comps = cycles.boundary_components(field, config.n)
-    if config.format == "json":
+def _run_boundary(args: argparse.Namespace) -> tuple[int, str]:
+    field = make_field(args.d)
+    if args.n < 1:
+        raise InputError(f"--n must be >= 1, got {args.n}")
+    comps = cycles.boundary_components(field, args.n)
+    if args.format == "json":
         payload = {
             "d": field.d,
-            "n": config.n,
+            "n": args.n,
             "components": [
                 {
                     "rep": str(c.cls.rep),
@@ -283,7 +255,7 @@ def _run_boundary(config: RunConfig) -> tuple[int, str]:
         }
         return 0, json.dumps(payload, indent=2) + "\n"
     if not comps:
-        return 0, f"no norm-{config.n} classes\n"
+        return 0, f"no norm-{args.n} classes\n"
     lines = [
         f"class {c.cls.rep}  multiplicity {c.multiplicity}  fiber ({c.fiber_label.a}, {c.fiber_label.b})"
         for c in comps
@@ -291,14 +263,14 @@ def _run_boundary(config: RunConfig) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _run_lk_table(config: RunConfig) -> tuple[int, str]:
-    field = make_field(config.d)
-    table = cycles.link_table(field, config.nmax)
-    if config.format == "csv":
+def _run_lk_table(args: argparse.Namespace) -> tuple[int, str]:
+    field = make_field(args.d)
+    table = cycles.link_table(field, args.nmax)
+    if args.format == "csv":
         lines = ["n,m,value"]
         lines += [f"{n},{m},{v}" for (n, m), v in table.entries.items()]
         return 0, "\n".join(lines) + "\n"
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "d": table.d,
             "nmax": table.nmax,
@@ -319,20 +291,21 @@ def _render_qexp(q: qseries.QExpansion, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_qexp(config: RunConfig) -> tuple[int, str]:
-    field = make_field(config.d)
-    q = qseries.lk_qexpansion(field, config.m, config.nmax)
-    return 0, _render_qexp(q, config.format)
+def _run_qexp(args: argparse.Namespace) -> tuple[int, str]:
+    field = make_field(args.d)
+    q = qseries.lk_qexpansion(field, args.m, args.nmax)
+    return 0, _render_qexp(q, args.format)
 
 
-def _run_w_eval(config: RunConfig) -> tuple[int, str]:
-    field = make_field(config.d)
-    params = qseries.WEvalParams(tau=config.tau, k_range=config.k_range, box=config.box, n_cut=config.n_cut)
+def _run_w_eval(args: argparse.Namespace) -> tuple[int, str]:
+    tau = parse_tau(args.tau)
+    field = make_field(args.d)
+    params = qseries.WEvalParams(tau=tau, k_range=args.k_range, box=args.box, n_cut=args.n_cut)
     rep = qseries.eval_W(field, params)
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "d": field.d,
-            "tau": _complex_str(config.tau),
+            "tau": _complex_str(tau),
             "holomorphic": {"re": rep.holomorphic.real, "im": rep.holomorphic.imag},
             "beta": {"re": rep.beta_part.real, "im": rep.beta_part.imag},
             "total": {"re": rep.total.real, "im": rep.total.imag},
@@ -341,7 +314,7 @@ def _run_w_eval(config: RunConfig) -> tuple[int, str]:
         }
         return 0, json.dumps(payload, indent=2) + "\n"
     lines = [
-        f"tau: {_complex_str(config.tau)}",
+        f"tau: {_complex_str(tau)}",
         f"holomorphic: {_complex_str(rep.holomorphic)}",
         f"beta: {_complex_str(rep.beta_part)}",
         f"total: {_complex_str(rep.total)}",
@@ -351,10 +324,10 @@ def _run_w_eval(config: RunConfig) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _run_ratio_test(config: RunConfig) -> tuple[int, str]:
-    field = make_field(config.d)
-    report = qseries.holomorphic_ratio_test(field, config.nmax, config.k_range)
-    if config.format == "json":
+def _run_ratio_test(args: argparse.Namespace) -> tuple[int, str]:
+    field = make_field(args.d)
+    report = qseries.holomorphic_ratio_test(field, args.nmax, args.k_range)
+    if args.format == "json":
         payload = {
             "d": report.d,
             "k_range": report.k_range,
@@ -374,44 +347,25 @@ def _run_ratio_test(config: RunConfig) -> tuple[int, str]:
     return code, "\n".join(lines) + "\n"
 
 
-def _run_combine(config: RunConfig) -> tuple[int, str]:
-    field = make_field(config.d)
+def _run_combine(args: argparse.Namespace) -> tuple[int, str]:
+    field = make_field(args.d)
     try:
-        with open(config.interior, encoding="utf-8") as fh:
+        with open(args.interior, encoding="utf-8") as fh:
             table = qseries.InteriorTable.from_json(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read interior table: {exc}") from exc
-    if config.m is not None and config.m != table.m:
-        raise InputError(f"--m {config.m} does not match the table's m = {table.m}")
-    q = qseries.combine_interior(table, field, config.nmax)
-    return 0, _render_qexp(q, config.format)
+    if args.m is not None and args.m != table.m:
+        raise InputError(f"--m {args.m} does not match the table's m = {table.m}")
+    q = qseries.combine_interior(table, field, args.nmax)
+    return 0, _render_qexp(q, args.format)
 
 
-def _run_self_test(config: RunConfig) -> tuple[int, str]:
-    verdicts = selftest.run_suites(config.seed)
+def _run_self_test(args: argparse.Namespace) -> tuple[int, str]:
+    verdicts = selftest.run_suites(args.seed)
     lines = [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in verdicts]
     failed = sum(1 for _, ok, _ in verdicts if not ok)
-    lines.append(f"{len(verdicts) - failed}/{len(verdicts)} suites passed (seed {config.seed})")
+    lines.append(f"{len(verdicts) - failed}/{len(verdicts)} suites passed (seed {args.seed})")
     return (1 if failed else 0), "\n".join(lines) + "\n"
-
-
-_DISPATCH = {
-    "field-info": _run_field_info,
-    "sol-link": _run_sol_link,
-    "sol-cap": _run_sol_cap,
-    "boundary": _run_boundary,
-    "lk-table": _run_lk_table,
-    "qexp": _run_qexp,
-    "w-eval": _run_w_eval,
-    "ratio-test": _run_ratio_test,
-    "combine": _run_combine,
-    "self-test": _run_self_test,
-}
-
-
-def dispatch(config: RunConfig) -> tuple[int, str]:
-    """Run one validated command; returns (exit code, rendered output)."""
-    return _DISPATCH[config.command](config)
 
 
 def main(argv=None) -> int:
@@ -419,17 +373,20 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.format is None:
+        args.format = "json" if args.tables else "text"
     try:
-        config = _config_from_args(args)
-        code, text = dispatch(config)
+        if args.format == "csv" and not args.tables:
+            raise InputError(f"--format csv is not available for {args.command}")
+        code, text = args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1
-    if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="\n") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -27,13 +27,9 @@ def symplectic_pairing(x: QuadElem, y: QuadElem) -> Fraction:
 
 
 def multiplicity(x: QuadElem) -> int:
-    """min over nonzero lattice pairings |<lambda, x>| = gcd over a basis."""
-    if not x.is_integral() or (x.a == 0 and x.b == 0):
-        raise InputError("multiplicity requires a nonzero integral element")
-    f = x.field
-    p1 = symplectic_pairing(f.one, x)
-    p2 = symplectic_pairing(f.omega, x)
-    return math.gcd(int(p1), int(p2))
+    """min over nonzero lattice pairings |<lambda, x>|: gcd(<1, x>, <w, x>) =
+    gcd(-b, a) for x = a + b*w, the content of x."""
+    return x.content()
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ from .errors import ConsistencyError, InputError
 
 Rat = int | Fraction
 
+# Largest accepted d.  Trial division in is_squarefree and the continued
+# fraction in fundamental_unit grow with d: below this bound a field builds in
+# at most about 0.1 s, far above it the unit's period can exceed the step bound.
+_D_MAX = 10**6
+
 
 def is_squarefree(d: int) -> bool:
     if d < 1:
@@ -42,6 +47,8 @@ class FieldData:
     def __init__(self, d: int):
         if not isinstance(d, int) or d <= 1:
             raise InputError(f"d must be an integer > 1, got {d!r}")
+        if d > _D_MAX:
+            raise InputError(f"d must be at most {_D_MAX}, got {d}")
         if not is_squarefree(d):
             raise InputError(f"d must be squarefree, got {d}")
         self.d = d
@@ -84,7 +91,7 @@ class FieldData:
 
 
 def make_field(d: int) -> FieldData:
-    """Validate d (squarefree, > 1) and build the field with its unit data."""
+    """Validate d (squarefree, 1 < d <= 10**6) and build the field with its unit data."""
     return FieldData(d)
 
 

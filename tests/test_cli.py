@@ -35,6 +35,12 @@ def test_field_info_rejects_non_squarefree(capsys):
     assert code == 2 and out == "" and "error:" in err
 
 
+def test_field_info_rejects_oversized_d(capsys):
+    code, out, err = run(capsys, "field-info", "--d", "100000000000000003")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_sol_link_example(capsys):
     code, out, err = run(capsys, "sol-link", "--f", "2,1,1,1", "--a", "1,0", "--b", "0,1")
     assert (code, out, err) == (0, "-1\n", "")
@@ -126,6 +132,48 @@ def test_qexp_csv_and_text(capsys):
     assert code == 0 and out == "n,value,tail_estimate\n1,2,0\n2,0,0\n"
     code, out, _ = run(capsys, "qexp", "--d", "5", "--nmax", "2", "--format", "text")
     assert code == 0 and out == "q^1: 2\nq^2: 0\n"
+
+
+GOLDEN_STDOUT = {
+    "field-info --d 13": (
+        "d: 13\n"
+        "disc: 13\n"
+        "integer basis: 1, w = (1 + sqrt(d))/2\n"
+        "fundamental unit: 3/2 + 1/2*sqrt(13) (norm -1)\n"
+        "totally positive unit: 11/2 + 3/2*sqrt(13)\n"
+        "unit trace: 11\n"
+        "gluing N_det: -9\n"
+    ),
+    "boundary --d 5 --n 4": "class 2  multiplicity 2  fiber (1, 0)\n",
+    "sol-cap --f 5,2,2,1 --a 3,-1 --format json": (
+        "{\n"
+        '  "f": [\n    5,\n    2,\n    2,\n    1\n  ],\n'
+        '  "circle_class": [\n    3,\n    -1\n  ],\n'
+        '  "weight": "-1/4",\n'
+        '  "monodromy_class": [\n    10,\n    6\n  ],\n'
+        '  "fiber_correction": "14",\n'
+        '  "area_period": "0",\n'
+        '  "boundary_check": "ok",\n'
+        '  "oracle_probes": "5/5 agree"\n'
+        "}\n"
+    ),
+    "lk-table --d 13 --nmax 3 --format text": (
+        "Lk(C1, C1) = 2/3\n"
+        "Lk(C1, C2) = 0\n"
+        "Lk(C1, C3) = 22/3\n"
+        "Lk(C2, C1) = 0\n"
+        "Lk(C2, C2) = 0\n"
+        "Lk(C2, C3) = 0\n"
+        "Lk(C3, C1) = 4/3\n"
+        "Lk(C3, C2) = 0\n"
+        "Lk(C3, C3) = 26/3\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, argv):
+    assert run(capsys, *argv.split()) == (0, GOLDEN_STDOUT[argv], "")
 
 
 def test_csv_rejected_elsewhere(capsys):
@@ -233,10 +281,3 @@ def test_missing_required_flag(capsys):
     code = cli.main(["qexp", "--d", "5"])
     capsys.readouterr()
     assert code == 2
-
-
-def test_dispatch_config_api():
-    config = cli.RunConfig(command="qexp", d=5, m=1, nmax=3, format="json")
-    code, text = cli.dispatch(config)
-    assert code == 0
-    assert json.loads(text)["coeffs"]["1"] == "2"

@@ -1,6 +1,7 @@
 """Field arithmetic, units, and norm-class enumeration against brute force."""
 
 import operator
+import time
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,13 @@ def test_unit_basic_properties(field5):
 def test_make_field_rejects_bad_d(bad):
     with pytest.raises(InputError):
         make_field(bad)
+
+
+def test_make_field_rejects_oversized_d_quickly():
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="at most"):
+        make_field(10**17 + 3)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_is_squarefree():
