@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -20,8 +21,9 @@ from .qfield import make_field
 
 def parse_tau(text: str) -> complex:
     """Parse 'RE+IMi' (also accepts 'IMi'); the imaginary part must be > 0."""
+    # only the trailing i is the imaginary unit: 'inf' and 'nan' keep theirs
     try:
-        value = complex(text.replace(" ", "").replace("i", "j"))
+        value = complex(re.sub(r"i(?=\s*\)?\s*\Z)", "j", text.replace(" ", "")))
     except ValueError:
         raise InputError(f"--tau must look like RE+IMi, got {text!r}") from None
     if not value.imag > 0:

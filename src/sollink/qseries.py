@@ -162,6 +162,13 @@ def holomorphic_ratio_test(field: FieldData, nmax: int, k_range: int) -> RatioRe
     )
 
 
+# Caps on the truncations whose cost does not depend on enumeration: box 1000
+# is about 4*10^6 lattice terms (a few seconds), k_range 10^4 about 4*10^4
+# orbit terms per class and n.
+_BOX_MAX = 1000
+_K_RANGE_MAX = 10_000
+
+
 @dataclass(frozen=True)
 class WEvalParams:
     tau: complex
@@ -176,8 +183,12 @@ class WEvalParams:
             raise InputError(f"tau must lie in the upper half plane, got {self.tau}")
         if self.k_range < 1:
             raise InputError(f"k_range must be >= 1, got {self.k_range}")
+        if self.k_range > _K_RANGE_MAX:
+            raise InputError(f"k_range must be at most {_K_RANGE_MAX}, got {self.k_range}")
         if self.box < 1:
             raise InputError(f"box must be >= 1, got {self.box}")
+        if self.box > _BOX_MAX:
+            raise InputError(f"box must be at most {_BOX_MAX}, got {self.box}")
         if self.n_cut < 1:
             raise InputError(f"n_cut must be >= 1, got {self.n_cut}")
 
@@ -202,8 +213,10 @@ def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
             beta(pi*v*disc*b^2) * e^{2 pi i N(lambda) tau},
 
     each beta term rewritten as beta_scaled(s) * e^{-pi v (lambda^2+lambda'^2)}
-    * e^{2 pi i N u}, whose real exponent is never positive.  Tail fields are
-    heuristic upper estimates from the last ring of each truncation.
+    * e^{2 pi i N u}, whose real exponent is never positive.  beta_scaled
+    depends only on b, so it is evaluated once per b; the lattice points are
+    plain ints and floats.  Tail fields are heuristic upper estimates from the
+    last ring of each truncation.
     """
     tau = params.tau
     u, v = tau.real, tau.imag
@@ -219,18 +232,27 @@ def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
     holo_tail = 4 * max_coeff * q_abs ** (params.n_cut + 1) / (1 - q_abs) ** 2
 
     prefactor = -math.sqrt(2) / math.sqrt(field.disc * v)
+    # lambda = a + b*w embeds as (a + b*w, a + b*w'), w and w' as in QuadElem.embed
+    rt = math.sqrt(field.d)
+    w = (field.s0 + rt) / 2 if field.d % 4 == 1 else rt
+    w_c = field.s0 - w
+    box = params.box
+    coords = range(-box, box + 1)
+    # what depends on b alone: beta_scaled, b*w, b*w' and b's share of N(lambda)
+    columns = [
+        (b, beta_scaled(math.pi * v * field.disc * b * b), b * w, b * w_c, field.n0 * b * b)
+        for b in coords
+    ]
+    gauss, phase = -math.pi * v, 2j * math.pi
     beta_sum = 0.0j
     shell_abs = 0.0
-    box = params.box
-    for a in range(-box, box + 1):
-        for b in range(-box, box + 1):
-            lam = field.element(a, b)
-            x, y = lam.embed(), lam.embed(conjugate=True)
-            s = math.pi * v * field.disc * b * b
-            mag = beta_scaled(s) * math.exp(-math.pi * v * (x * x + y * y))
-            term = mag * cmath.exp(2j * math.pi * float(lam.norm()) * u)
-            beta_sum += term
-            if max(abs(a), abs(b)) == box:
+    for a in coords:
+        on_shell = abs(a) == box
+        for b, beta, bw, bw_c, n_b in columns:
+            x, y = a + bw, a + bw_c
+            mag = beta * math.exp(gauss * (x * x + y * y))
+            beta_sum += mag * cmath.exp(phase * float(a * a + field.s0 * a * b + n_b) * u)
+            if on_shell or abs(b) == box:
                 shell_abs += abs(mag)
     beta_tail = abs(prefactor) * 2 * shell_abs
     return WEvalReport(

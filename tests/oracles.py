@@ -1,13 +1,16 @@
 """Independent brute-force oracles used to validate the library.
 
-Everything here avoids the library's own algorithms: units come from a
-per-coefficient Pell scan (no continued fractions), so agreement is a real
-cross-check.
+Units come from a per-coefficient Pell scan (no continued fractions), so
+agreement is a real cross-check.  The beta lattice sum is the exact-element
+route: every lattice point is a QuadElem, embedded and normed on its own.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+
+from sollink.special_fn import beta_scaled
 
 _B_CAP = 10**6  # d=94 needs b = 221064; nothing below 100 needs more
 
@@ -51,3 +54,23 @@ def pell_units(d: int) -> tuple[tuple[int, int, int], tuple[int, int]]:
                 return first, _unit_coords(d, t, b)
             return first, _unit_coords(d, disc * b * b - 2, t * b)
     raise RuntimeError(f"no unit with b <= {_B_CAP} for d={d}")
+
+
+def beta_lattice_reference(field, tau: complex, box: int) -> tuple[complex, float]:
+    """(beta_part, beta_tail) of eval_W with one QuadElem per lattice point
+    a + b*w, |a|, |b| <= box, summed a-outer, b-inner."""
+    u, v = tau.real, tau.imag
+    prefactor = -math.sqrt(2) / math.sqrt(field.disc * v)
+    beta_sum = 0.0j
+    shell_abs = 0.0
+    for a in range(-box, box + 1):
+        for b in range(-box, box + 1):
+            lam = field.element(a, b)
+            x, y = lam.embed(), lam.embed(conjugate=True)
+            s = math.pi * v * field.disc * b * b
+            mag = beta_scaled(s) * math.exp(-math.pi * v * (x * x + y * y))
+            term = mag * cmath.exp(2j * math.pi * float(lam.norm()) * u)
+            beta_sum += term
+            if max(abs(a), abs(b)) == box:
+                shell_abs += abs(mag)
+    return prefactor * beta_sum, abs(prefactor) * 2 * shell_abs

@@ -168,6 +168,25 @@ GOLDEN_STDOUT = {
         "Lk(C3, C2) = 0\n"
         "Lk(C3, C3) = 26/3\n"
     ),
+    "w-eval --d 13 --tau 0.25+0.6i --box 12 --n-cut 8": (
+        "tau: 0.25 + 0.6i\n"
+        "holomorphic: 2.663282530179339e-07 + 0.010856259725734278i\n"
+        "beta: -0.020147820924748802 - 0.0009289825529788796i\n"
+        "total: -0.020147554596495785 + 0.009927277172755399i\n"
+        "holo tail estimate: 7.269057244288268e-15\n"
+        "beta tail estimate: 1.6653081995399195e-223\n"
+    ),
+    "w-eval --d 13 --tau 0.25+0.6i --box 12 --n-cut 8 --format json": (
+        "{\n"
+        '  "d": 13,\n'
+        '  "tau": "0.25 + 0.6i",\n'
+        '  "holomorphic": {\n    "re": 2.663282530179339e-07,\n    "im": 0.010856259725734278\n  },\n'
+        '  "beta": {\n    "re": -0.020147820924748802,\n    "im": -0.0009289825529788796\n  },\n'
+        '  "total": {\n    "re": -0.020147554596495785,\n    "im": 0.009927277172755399\n  },\n'
+        '  "holo_tail": 7.269057244288268e-15,\n'
+        '  "beta_tail": 1.6653081995399195e-223\n'
+        "}\n"
+    ),
 }
 
 
@@ -197,10 +216,32 @@ def test_w_eval_json_deterministic(capsys):
     assert payload["beta"]["re"] < 0
 
 
-@pytest.mark.parametrize("bad_tau", ["1.0", "0.5-2i", "abc", "1+0i", "nan+1i", "0+1e400i"])
+BAD_TAU = {
+    "1.0": "--tau must have positive imaginary part",
+    "0.5-2i": "--tau must have positive imaginary part",
+    "abc": "--tau must look like RE+IMi",
+    "1+0i": "--tau must have positive imaginary part",
+    "nan+1i": "tau must be finite",
+    "0+1e400i": "tau must be finite",
+    "inf+1i": "tau must be finite",
+    "1+infi": "tau must be finite",
+}
+
+
+@pytest.mark.parametrize("bad_tau", list(BAD_TAU))
 def test_w_eval_rejects_bad_tau(capsys, bad_tau):
-    code, _, err = run(capsys, "w-eval", "--d", "5", "--tau", bad_tau)
-    assert code == 2 and "error:" in err
+    code, out, err = run(capsys, "w-eval", "--d", "5", "--tau", bad_tau)
+    assert code == 2 and out == "" and "error:" in err
+    assert BAD_TAU[bad_tau] in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--box", "1001", "box must be at most 1000"), ("--k-range", "10001", "k_range must be at most 10000")],
+)
+def test_w_eval_rejects_oversized_truncation(capsys, flag, value, message):
+    code, out, err = run(capsys, "w-eval", "--d", "5", "--tau", "0.5+1i", flag, value)
+    assert (code, out) == (2, "") and err == f"error: {message}, got {value}\n"
 
 
 def test_ratio_test_text(capsys):

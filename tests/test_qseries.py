@@ -19,6 +19,7 @@ from sollink import (
     min_series_coeff,
 )
 from conftest import field
+from oracles import beta_lattice_reference
 
 D5_M1 = {1: Fraction(2), 2: Fraction(0), 3: Fraction(0), 4: Fraction(4), 5: Fraction(4)}
 
@@ -167,6 +168,19 @@ def test_eval_params_validation():
         WEvalParams(tau=1j, box=0)
     with pytest.raises(InputError):
         WEvalParams(tau=1j, n_cut=0)
+    with pytest.raises(InputError, match="box must be at most 1000"):
+        WEvalParams(tau=1j, box=1001)
+    with pytest.raises(InputError, match="k_range must be at most 10000"):
+        WEvalParams(tau=1j, k_range=10_001)
+    assert WEvalParams(tau=1j, k_range=10_000, box=1000).box == 1000
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 94])
+@pytest.mark.parametrize("box", [1, 7, 40])
+@pytest.mark.parametrize("tau", [0.25 + 0.6j, 1.3j, -0.4 + 2.0j, 3.7 + 2.5j])
+def test_beta_lattice_matches_reference(d, box, tau):
+    report = eval_W(field(d), WEvalParams(tau=tau, box=box, n_cut=1))
+    assert (report.beta_part, report.beta_tail) == beta_lattice_reference(field(d), tau, box)
 
 
 def test_eval_w_period_one(field5):
