@@ -9,6 +9,7 @@ identical across runs for identical flags (and seed).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from . import cycles, qseries, selftest, sol
 from .errors import ConsistencyError, InputError
-from .qfield import make_field
+from .qfield import _scan_length, make_field
 
 
 def parse_tau(text: str) -> complex:
@@ -39,6 +40,26 @@ def _parse_ints(text: str, count: int, flag: str) -> tuple:
         return tuple(int(p) for p in parts)
     except ValueError:
         raise InputError(f"{flag} needs integers, got {text!r}") from None
+
+
+# A-priori work caps.  Norm n costs _scan_length(field, n) steps of the b-scan
+# in enumerate_norm_classes, about 280 ns each, so the budget is about 8 s
+# (ratio-test scans each norm twice).  lk-table renders one line per cell.
+_SCAN_BUDGET = 3 * 10**7
+_CELLS_MAX = 10**6
+
+
+def _check_scan_budget(field, nmax: int, m: int = 0) -> None:
+    """InputError when the b-scans over the norms 1..nmax and m exceed
+    _SCAN_BUDGET steps; norms below 1 are left to the library's checks."""
+    top = max(nmax, m)
+    # every norm costs at least one step, so the loop stops within the budget
+    norms = itertools.chain(range(1, nmax + 1), [m] if m > max(nmax, 0) else [])
+    steps = 0
+    for n in norms:
+        steps += _scan_length(field, n)
+        if steps > _SCAN_BUDGET:
+            raise InputError(f"norm-class scans up to n = {top} at d = {field.d} need more than {_SCAN_BUDGET} steps")
 
 
 def _complex_str(z: complex) -> str:
@@ -240,6 +261,7 @@ def _run_boundary(args: argparse.Namespace) -> tuple[int, str]:
     field = make_field(args.d)
     if args.n < 1:
         raise InputError(f"--n must be >= 1, got {args.n}")
+    _check_scan_budget(field, 0, args.n)
     comps = cycles.boundary_components(field, args.n)
     if args.format == "json":
         payload = {
@@ -267,6 +289,9 @@ def _run_boundary(args: argparse.Namespace) -> tuple[int, str]:
 
 def _run_lk_table(args: argparse.Namespace) -> tuple[int, str]:
     field = make_field(args.d)
+    if args.nmax > 0 and args.nmax * args.nmax > _CELLS_MAX:
+        raise InputError(f"--nmax {args.nmax} gives {args.nmax * args.nmax} cells, more than {_CELLS_MAX}")
+    _check_scan_budget(field, args.nmax)
     table = cycles.link_table(field, args.nmax)
     if args.format == "csv":
         lines = ["n,m,value"]
@@ -295,6 +320,7 @@ def _render_qexp(q: qseries.QExpansion, fmt: str) -> str:
 
 def _run_qexp(args: argparse.Namespace) -> tuple[int, str]:
     field = make_field(args.d)
+    _check_scan_budget(field, args.nmax, args.m)
     q = qseries.lk_qexpansion(field, args.m, args.nmax)
     return 0, _render_qexp(q, args.format)
 
@@ -303,6 +329,7 @@ def _run_w_eval(args: argparse.Namespace) -> tuple[int, str]:
     tau = parse_tau(args.tau)
     field = make_field(args.d)
     params = qseries.WEvalParams(tau=tau, k_range=args.k_range, box=args.box, n_cut=args.n_cut)
+    _check_scan_budget(field, args.n_cut)
     rep = qseries.eval_W(field, params)
     if args.format == "json":
         payload = {
@@ -328,6 +355,7 @@ def _run_w_eval(args: argparse.Namespace) -> tuple[int, str]:
 
 def _run_ratio_test(args: argparse.Namespace) -> tuple[int, str]:
     field = make_field(args.d)
+    _check_scan_budget(field, args.nmax)
     report = qseries.holomorphic_ratio_test(field, args.nmax, args.k_range)
     if args.format == "json":
         payload = {
@@ -358,6 +386,7 @@ def _run_combine(args: argparse.Namespace) -> tuple[int, str]:
         raise InputError(f"cannot read interior table: {exc}") from exc
     if args.m is not None and args.m != table.m:
         raise InputError(f"--m {args.m} does not match the table's m = {table.m}")
+    _check_scan_budget(field, args.nmax, table.m)
     q = qseries.combine_interior(table, field, args.nmax)
     return 0, _render_qexp(q, args.format)
 

@@ -45,13 +45,16 @@ class BoundaryComponent:
 
 def boundary_components(field: FieldData, n) -> list[BoundaryComponent]:
     """Boundary circle families of the norm-n cycle, one per reduced class."""
+    s0, n0 = field.s0, field.n0
     out = []
     for cls in enumerate_norm_classes(field, n):
-        mult = multiplicity(cls.rep)
-        direction = field.element(cls.rep.a / mult, cls.rep.b / mult)
-        if not (direction.is_integral() and direction.is_totally_positive()):
+        a, b = cls.rep.a.numerator, cls.rep.b.numerator
+        mult = math.gcd(a, b)  # the content of the integral rep
+        a, b = a // mult, b // mult
+        # a + b*w is totally positive iff its trace and its norm are positive
+        if not (2 * a + s0 * b > 0 and a * a + s0 * a * b + n0 * b * b > 0):
             raise ConsistencyError("primitive direction escaped the lattice")
-        out.append(BoundaryComponent(cls=cls, multiplicity=mult, fiber_label=direction))
+        out.append(BoundaryComponent(cls=cls, multiplicity=mult, fiber_label=field.element(a, b)))
     return out
 
 
@@ -147,14 +150,17 @@ def _link_numbers(field: FieldData, ns, ms) -> dict:
     """
     coords = {}
     for k in sorted({*ns, *ms}):
-        s = sum((c.multiplicity * c.fiber_label for c in boundary_components(field, k)), field.element(0))
-        coords[k] = (int(s.a), int(s.b))
+        reps = [c.cls.rep for c in boundary_components(field, k)]
+        coords[k] = (sum(r.a.numerator for r in reps), sum(r.b.numerator for r in reps))
     gm1 = field.eps - 1
     den = int(gm1.norm())
+    # (eps - 1)' = g_a + g_b*w; w^2 = s0*w - n0
+    gc = gm1.conj()
+    g_a, g_b, s0, n0 = int(gc.a), int(gc.b), field.s0, field.n0
     out = {}
     for n in ns:
-        x = field.element(*coords[n]) * gm1.conj()
-        p, q = int(x.a), int(x.b)
+        x_a, x_b = coords[n]
+        p, q = x_a * g_a - x_b * g_b * n0, x_a * g_b + x_b * g_a + x_b * g_b * s0
         for m in ms:
             a, b = coords[m]
             out[n, m] = Fraction(2 * (q * a - p * b), den)

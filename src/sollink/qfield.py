@@ -40,8 +40,9 @@ class FieldData:
     """A real quadratic field Q(sqrt(d)) together with its unit data.
 
     Attributes: d, disc, s0 = trace(w), n0 = norm(w), eps0 (fundamental unit),
-    eps0_norm (+1 or -1), eps (totally positive fundamental unit).  Instances
-    are immutable after construction and safe to share across threads.
+    eps0_norm (+1 or -1), eps (totally positive fundamental unit) and eps_sq,
+    the integers (T, U) with eps^2 = (T + U*sqrt(disc))/2.  Instances are
+    immutable after construction.
     """
 
     def __init__(self, d: int):
@@ -63,6 +64,9 @@ class FieldData:
         self.eps0 = fundamental_unit(self)
         self.eps0_norm = int(self.eps0.norm())
         self.eps = self.eps0 if self.eps0_norm == 1 else self.eps0 * self.eps0
+        # a + b*w = (2a + s0*b + b*sqrt(disc))/2, so T = trace(eps^2), U = its b
+        e2 = self.eps * self.eps
+        self.eps_sq = (int(e2.trace()), int(e2.b))
 
     def element(self, a: Rat, b: Rat = 0) -> "QuadElem":
         return QuadElem(self, Fraction(a), Fraction(b))
@@ -93,6 +97,17 @@ class FieldData:
 def make_field(d: int) -> FieldData:
     """Validate d (squarefree, 1 < d <= 10**6) and build the field with its unit data."""
     return FieldData(d)
+
+
+def _sign(p: Rat, q: Rat, r: int) -> int:
+    """Exact sign of p + q*sqrt(r) for a non-square r > 0."""
+    if p >= 0 and q >= 0:
+        return int(p > 0 or q > 0)
+    if p <= 0 and q <= 0:
+        return -1
+    # mixed signs: the larger of p^2 and r*q^2 wins
+    lead = p * p - r * q * q
+    return (lead > 0) - (lead < 0) if p > 0 else (lead < 0) - (lead > 0)
 
 
 def _coerced(op):
@@ -207,19 +222,7 @@ class QuadElem:
 
     def sign(self) -> int:
         """Exact sign under the real embedding with sqrt(d) > 0."""
-        p, q = self.sqrt_coords()
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # mixed signs: compare p^2 against d*q^2
-        lead = p * p - self.field.d * q * q
-        s = 1 if lead > 0 else -1
-        return s if p > 0 else -s
+        return _sign(*self.sqrt_coords(), self.field.d)
 
     def is_totally_positive(self) -> bool:
         return self.sign() > 0 and self.conj().sign() > 0
@@ -317,13 +320,26 @@ def reduce_totally_positive(field: FieldData, x: QuadElem) -> QuadElem:
     return x
 
 
+def _scan_length(field: FieldData, n: int) -> int:
+    """Steps of the b-scan in enumerate_norm_classes for the integer n >= 1:
+    b_max + 1 with b_max = isqrt(n*(Tr(eps^2) - 2)/disc)."""
+    return math.isqrt(n * (field.eps_sq[0] - 2) // field.disc) + 1
+
+
 def enumerate_norm_classes(field: FieldData, n: Rat) -> list[NormClass]:
     """All classes of totally positive integers of norm n, one reduced
     representative each, sorted by coordinates.
 
-    A representative x = a + b*w in the domain has trace t and t^2 = disc*b^2 + 4n
-    with 0 <= b <= sqrt(n*(Tr(eps^2) - 2)/disc), so a finite integer scan with a
-    perfect-square test is exhaustive.
+    A representative x = a + b*w = (t + b*sqrt(disc))/2 in the domain has
+    trace t and t^2 = disc*b^2 + 4n with 0 <= b <= sqrt(n*(Tr(eps^2) - 2)/disc),
+    so a finite integer scan with a perfect-square test is exhaustive.  The
+    scan runs on ints and builds an element only for each returned rep:
+
+    - x is totally positive without a test: x + x' = t > 0 and x*x' = n > 0.
+    - With eps^2 = (T + U*sqrt(disc))/2, the domain bound x/x' < eps^2 reads
+      4*(eps^2*x' - x) = P + Q*sqrt(disc) > 0, where P = T*t - U*b*disc - 2t
+      and Q = U*t - T*b - 2b; its sign is decided exactly on integers.
+      b >= 0 gives the other bound x >= x'.
     """
     n = Fraction(n)
     if n <= 0:
@@ -331,27 +347,22 @@ def enumerate_norm_classes(field: FieldData, n: Rat) -> list[NormClass]:
     if n.denominator != 1:
         return []
     n = int(n)
-    t2m2 = int((field.eps * field.eps).trace()) - 2
-    b_max = math.isqrt(n * t2m2 // field.disc)
-    e2 = field.eps * field.eps
-    out = []
-    for b in range(0, b_max + 1):
-        t_sq = field.disc * b * b + 4 * n
+    disc, s0 = field.disc, field.s0
+    big_t, big_u = field.eps_sq
+    n4 = 4 * n
+    coords = []
+    for b in range(_scan_length(field, n)):
+        t_sq = disc * b * b + n4
         t = math.isqrt(t_sq)
-        if t * t != t_sq:
+        if t * t != t_sq or (t - s0 * b) % 2:
             continue
-        if (t - field.s0 * b) % 2:
+        # exclude the ratio eps^2 itself: the domain is half open
+        if _sign(big_t * t - big_u * b * disc - 2 * t, big_u * t - big_t * b - 2 * b, disc) <= 0:
             continue
-        a = (t - field.s0 * b) // 2
-        x = field.element(a, b)
-        if not x.is_totally_positive():
-            continue
-        # domain: b >= 0 gives x >= x'; exclude ratio exactly eps^2
-        if (e2 * x.conj() - x).sign() <= 0:
-            continue
-        out.append(NormClass(rep=x, n=Fraction(n)))
-    out.sort(key=lambda c: (c.rep.a, c.rep.b))
-    return out
+        coords.append(((t - s0 * b) // 2, b))
+    coords.sort()
+    norm = Fraction(n)
+    return [NormClass(rep=field.element(a, b), n=norm) for a, b in coords]
 
 
 def brute_force_norm_solutions(field: FieldData, n: Rat, bound: int) -> list[QuadElem]:

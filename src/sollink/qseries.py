@@ -167,6 +167,10 @@ def holomorphic_ratio_test(field: FieldData, nmax: int, k_range: int) -> RatioRe
 # orbit terms per class and n.
 _BOX_MAX = 1000
 _K_RANGE_MAX = 10_000
+# Floor on Im tau: below v of about 2e-17 |q| = exp(-2 pi v) rounds to 1 and
+# the holomorphic tail estimate divides by zero; the truncations mean nothing
+# long before that.
+_IM_TAU_MIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -181,6 +185,8 @@ class WEvalParams:
             raise InputError(f"tau must be finite, got {self.tau}")
         if not (self.tau.imag > 0):
             raise InputError(f"tau must lie in the upper half plane, got {self.tau}")
+        if self.tau.imag < _IM_TAU_MIN:
+            raise InputError(f"Im tau must be at least {_IM_TAU_MIN}, got {self.tau.imag!r}")
         if self.k_range < 1:
             raise InputError(f"k_range must be >= 1, got {self.k_range}")
         if self.k_range > _K_RANGE_MAX:

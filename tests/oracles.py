@@ -1,15 +1,18 @@
 """Independent brute-force oracles used to validate the library.
 
 Units come from a per-coefficient Pell scan (no continued fractions), so
-agreement is a real cross-check.  The beta lattice sum is the exact-element
-route: every lattice point is a QuadElem, embedded and normed on its own.
+agreement is a real cross-check.  The norm-class enumeration and the beta
+lattice sum are the exact-element routes: every candidate or lattice point is
+a QuadElem, tested, embedded and normed on its own.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
+from sollink.qfield import NormClass
 from sollink.special_fn import beta_scaled
 
 _B_CAP = 10**6  # d=94 needs b = 221064; nothing below 100 needs more
@@ -74,3 +77,29 @@ def beta_lattice_reference(field, tau: complex, box: int) -> tuple[complex, floa
             if max(abs(a), abs(b)) == box:
                 shell_abs += abs(mag)
     return prefactor * beta_sum, abs(prefactor) * 2 * shell_abs
+
+
+def enumerate_norm_classes_reference(field, n: int) -> list:
+    """enumerate_norm_classes for an integer n >= 1 with Fraction sign tests:
+    each b-scan survivor becomes a QuadElem that must be totally positive and
+    satisfy x/x' < eps^2."""
+    t2m2 = int((field.eps * field.eps).trace()) - 2
+    b_max = math.isqrt(n * t2m2 // field.disc)
+    e2 = field.eps * field.eps
+    out = []
+    for b in range(0, b_max + 1):
+        t_sq = field.disc * b * b + 4 * n
+        t = math.isqrt(t_sq)
+        if t * t != t_sq:
+            continue
+        if (t - field.s0 * b) % 2:
+            continue
+        x = field.element((t - field.s0 * b) // 2, b)
+        if not x.is_totally_positive():
+            continue
+        # domain: b >= 0 gives x >= x'; exclude ratio exactly eps^2
+        if (e2 * x.conj() - x).sign() <= 0:
+            continue
+        out.append(NormClass(rep=x, n=Fraction(n)))
+    out.sort(key=lambda c: (c.rep.a, c.rep.b))
+    return out

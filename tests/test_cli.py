@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -225,12 +226,15 @@ BAD_TAU = {
     "0+1e400i": "tau must be finite",
     "inf+1i": "tau must be finite",
     "1+infi": "tau must be finite",
+    "-0.5+1e-320i": "Im tau must be at least 1e-08",
+    "0+1e-17i": "Im tau must be at least 1e-08",
 }
 
 
 @pytest.mark.parametrize("bad_tau", list(BAD_TAU))
 def test_w_eval_rejects_bad_tau(capsys, bad_tau):
-    code, out, err = run(capsys, "w-eval", "--d", "5", "--tau", bad_tau)
+    # --tau=... so that a leading minus sign is not taken for a flag
+    code, out, err = run(capsys, "w-eval", "--d", "5", f"--tau={bad_tau}")
     assert code == 2 and out == "" and "error:" in err
     assert BAD_TAU[bad_tau] in err
 
@@ -242,6 +246,33 @@ def test_w_eval_rejects_bad_tau(capsys, bad_tau):
 def test_w_eval_rejects_oversized_truncation(capsys, flag, value, message):
     code, out, err = run(capsys, "w-eval", "--d", "5", "--tau", "0.5+1i", flag, value)
     assert (code, out) == (2, "") and err == f"error: {message}, got {value}\n"
+
+
+OVER_BUDGET = {
+    ("boundary", "--d", "151", "--n", "1"): "need more than 30000000 steps",
+    ("lk-table", "--d", "94", "--nmax", "2000"): "gives 4000000 cells, more than 1000000",
+    ("lk-table", "--d", "94", "--nmax", "200"): "need more than 30000000 steps",
+    ("qexp", "--d", "5", "--nmax", str(10**18)): "need more than 30000000 steps",
+    ("qexp", "--d", "5", "--nmax", "3", "--m", str(10**16)): "need more than 30000000 steps",
+    ("ratio-test", "--d", "94", "--nmax", "100"): "need more than 30000000 steps",
+    ("w-eval", "--d", "94", "--tau", "0+1i", "--n-cut", "40"): "need more than 30000000 steps",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(OVER_BUDGET))
+def test_over_budget_scans_exit_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
+    assert OVER_BUDGET[argv] in err
+
+
+def test_combine_counts_the_table_m_in_the_budget(tmp_path, capsys):
+    table = tmp_path / "interior.json"
+    table.write_text(json.dumps({"m": 10**16, "entries": {"1": "0"}}), encoding="utf-8")
+    code, out, err = run(capsys, "combine", "--d", "5", "--interior", str(table), "--nmax", "1")
+    assert (code, out) == (2, "") and "up to n = 10000000000000000" in err
 
 
 def test_ratio_test_text(capsys):

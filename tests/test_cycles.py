@@ -21,6 +21,7 @@ from sollink import (
     symplectic_pairing,
 )
 from conftest import field
+from oracles import enumerate_norm_classes_reference
 
 
 def test_multiplicity(field5):
@@ -50,6 +51,21 @@ def test_boundary_components_d5(field5):
     assert boundary_components(field5, 2) == []
     # the n=1 and n=4 circles run along the same fiber, n=5 does not
     assert c1.fiber_label == c4.fiber_label != c5.fiber_label
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 17, 21, 46])
+def test_boundary_components_match_fraction_route(d):
+    # multiplicity is the content of the rep, the fiber label the rep over it
+    f = field(d)
+    for n in range(1, 31):
+        comps = boundary_components(f, n)
+        assert [c.cls for c in comps] == enumerate_norm_classes_reference(f, n)
+        for c in comps:
+            rep = c.cls.rep
+            mult = rep.content()
+            assert c.multiplicity == mult
+            assert c.fiber_label == f.element(rep.a / mult, rep.b / mult)
+            assert c.fiber_label.is_integral() and c.fiber_label.is_totally_positive()
 
 
 def test_symplectic_pairing(field5):

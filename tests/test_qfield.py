@@ -16,7 +16,7 @@ from sollink import (
     reduce_totally_positive,
 )
 from conftest import field
-from oracles import pell_units
+from oracles import enumerate_norm_classes_reference, pell_units
 
 # (d, eps0 coords, eps0 norm, eps coords) on the (1, w) basis
 KNOWN_UNITS = [
@@ -137,6 +137,37 @@ def test_enumeration_matches_brute_force(d):
         reduced = {(r.a, r.b) for r in (reduce_totally_positive(f, x) for x in brute)}
         listed = {(c.rep.a, c.rep.b) for c in enumerate_norm_classes(f, n)}
         assert reduced == listed, f"d={d} n={n}"
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 46, 94])
+def test_eps_sq_coordinates(d):
+    f = field(d)
+    big_t, big_u = f.eps_sq
+    assert big_t * big_t - f.disc * big_u * big_u == 4  # norm(eps^2) = 1
+    assert f.element(Fraction(big_t - f.s0 * big_u, 2), big_u) == f.eps * f.eps
+
+
+# d=94 scans 2.2e5 values of b at n=1 and 1.7e6 at n=60 on each route, so it
+# takes a few norms: empty, two classes, and the squares 4 and 9
+@pytest.mark.parametrize(
+    "d, ns",
+    [pytest.param(d, range(1, 61), id=str(d)) for d in (2, 3, 5, 13, 17, 21, 46)]
+    + [pytest.param(94, (1, 2, 3, 4, 5, 9), id="94")],
+)
+def test_enumeration_matches_fraction_reference(d, ns):
+    f = field(d)
+    for n in ns:
+        got, want = enumerate_norm_classes(f, n), enumerate_norm_classes_reference(f, n)
+        assert got == want and repr(got) == repr(want), f"d={d} n={n}"
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 17, 21, 46])
+def test_square_norm_excludes_the_eps_squared_boundary(d):
+    # x = k*eps has x/x' = eps^2 exactly: k is the class rep, k*eps is not
+    f = field(d)
+    for k in range(1, 8):
+        reps = [c.rep for c in enumerate_norm_classes(f, k * k)]
+        assert f.element(k) in reps and k * f.eps not in reps
 
 
 small_fields = st.sampled_from([2, 3, 5, 13, 17])

@@ -173,6 +173,10 @@ def test_eval_params_validation():
     with pytest.raises(InputError, match="k_range must be at most 10000"):
         WEvalParams(tau=1j, k_range=10_001)
     assert WEvalParams(tau=1j, k_range=10_000, box=1000).box == 1000
+    for tiny in (1e-320, 1e-17, 9.9e-9):
+        with pytest.raises(InputError, match="Im tau must be at least 1e-08"):
+            WEvalParams(tau=complex(-0.5, tiny))
+    assert WEvalParams(tau=1e-8j).tau == 1e-8j
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 13, 94])
