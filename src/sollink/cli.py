@@ -43,8 +43,8 @@ def _parse_ints(text: str, count: int, flag: str) -> tuple:
 
 
 # A-priori work caps.  Norm n costs _scan_length(field, n) steps of the b-scan
-# in enumerate_norm_classes, about 280 ns each, so the budget is about 8 s
-# (ratio-test scans each norm twice).  lk-table renders one line per cell.
+# in enumerate_norm_classes, about 280 ns each, so the budget is about 8 s.
+# lk-table renders one line per cell.
 _SCAN_BUDGET = 3 * 10**7
 _CELLS_MAX = 10**6
 

@@ -148,9 +148,16 @@ def _link_numbers(field: FieldData, ns, ms) -> dict:
     the reduced norm-k reps.  With S_n*(eps - 1)' = p + q*w and S_m = a + b*w
     the cell is 2*(q*a - p*b)/N(eps - 1), all integers.
     """
+    comps = {k: boundary_components(field, k) for k in sorted({*ns, *ms})}
+    return _link_cells(field, comps, ns, ms)
+
+
+def _link_cells(field: FieldData, comps: dict, ns, ms) -> dict:
+    """_link_numbers from comps, the boundary components of every norm in ns
+    and ms, for callers that need the components themselves as well."""
     coords = {}
-    for k in sorted({*ns, *ms}):
-        reps = [c.cls.rep for c in boundary_components(field, k)]
+    for k, cs in comps.items():
+        reps = [c.cls.rep for c in cs]
         coords[k] = (sum(r.a.numerator for r in reps), sum(r.b.numerator for r in reps))
     gm1 = field.eps - 1
     den = int(gm1.norm())

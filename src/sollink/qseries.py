@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .qfield import FieldData, enumerate_norm_classes
-from .cycles import _link_numbers
+from .cycles import _link_cells, _link_numbers, boundary_components
 from .special_fn import beta_scaled
 
 
@@ -100,22 +100,30 @@ def min_series_coeff(field: FieldData, n: int, k_range: int) -> float:
         |k| <= k_range of min(|s mu eps^k|, |s mu' eps^-k|).
 
     Terms decay like eps^-|k|, so moderate k_range already gives full double
-    precision.  Summation order is classes, then signs, then k ascending, so
-    the float result is deterministic.
+    precision.  The terms do not depend on the sign, so each is evaluated
+    once per class and added for both signs.  Summation order is classes,
+    then signs, then k ascending, so the float result is deterministic.
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     if k_range < 1:
         raise InputError(f"k_range must be >= 1, got {k_range}")
+    return _orbit_min_sum(field, enumerate_norm_classes(field, n), k_range)
+
+
+def _orbit_min_sum(field: FieldData, classes, k_range: int) -> float:
+    """min_series_coeff over the given norm classes."""
     log_eps = math.log(field.eps.embed())
     total = 0.0
-    for cls in enumerate_norm_classes(field, n):
+    for cls in classes:
         log_mu = math.log(cls.rep.embed())
         log_mu_c = math.log(cls.rep.embed(conjugate=True))
+        # min in log space; the min side never overflows
+        terms = [math.exp(min(log_mu + k * log_eps, log_mu_c - k * log_eps)) for k in range(-k_range, k_range + 1)]
         for _sign in (1, -1):
-            for k in range(-k_range, k_range + 1):
-                # min in log space; the min side never overflows
-                total += math.exp(min(log_mu + k * log_eps, log_mu_c - k * log_eps))
+            # a plain loop: sum() compensates on Python 3.12+, changing the last bits
+            for term in terms:
+                total += term
     return total / math.sqrt(2 * field.disc)
 
 
@@ -140,12 +148,17 @@ def holomorphic_ratio_test(field: FieldData, nmax: int, k_range: int) -> RatioRe
     """
     if nmax < 1:
         raise InputError(f"nmax must be >= 1, got {nmax}")
+    if k_range < 1:
+        raise InputError(f"k_range must be >= 1, got {k_range}")
     ratios = {}
     omitted, inconsistent = [], []
-    column = _link_numbers(field, range(1, nmax + 1), (1,))
-    for n in range(1, nmax + 1):
+    ns = range(1, nmax + 1)
+    # one enumeration per norm, shared by the Lk column and the orbit-minimum sum
+    comps = {n: boundary_components(field, n) for n in ns}
+    column = _link_cells(field, comps, ns, (1,))
+    for n in ns:
         lk = column[n, 1]
-        mn = min_series_coeff(field, n, k_range)
+        mn = _orbit_min_sum(field, [c.cls for c in comps[n]], k_range)
         if lk == 0:
             (omitted if abs(mn) <= 1e-9 else inconsistent).append(n)
             continue
@@ -162,15 +175,23 @@ def holomorphic_ratio_test(field: FieldData, nmax: int, k_range: int) -> RatioRe
     )
 
 
-# Caps on the truncations whose cost does not depend on enumeration: box 1000
-# is about 4*10^6 lattice terms (a few seconds), k_range 10^4 about 4*10^4
-# orbit terms per class and n.
+# Caps on the truncations whose cost does not depend on enumeration.  eval_W
+# visits only the lattice points inside the ellipse pi*v*Q <= _GAUSS_CUTOFF,
+# about 760/(v*sqrt(disc)) of them, so box 1000 (4*10^6 points in the box)
+# costs seconds only when Im tau is tiny.  k_range 10^4 is about 2*10^4 orbit terms per
+# class and n.
 _BOX_MAX = 1000
 _K_RANGE_MAX = 10_000
 # Floor on Im tau: below v of about 2e-17 |q| = exp(-2 pi v) rounds to 1 and
 # the holomorphic tail estimate divides by zero; the truncations mean nothing
 # long before that.
 _IM_TAU_MIN = 1e-8
+# Cap on |Re tau|: at 1e308 the phase 2*pi*n*tau overflows.  W has period 1
+# in tau, so Re tau can always be reduced mod 1.
+_RE_TAU_MAX = 10**6
+# math.exp(-t) is exactly 0.0 for t above about 745.13; eval_W skips the
+# lattice points whose Gaussian exponent pi*v*(x^2 + y^2) exceeds this cutoff.
+_GAUSS_CUTOFF = 760.0
 
 
 @dataclass(frozen=True)
@@ -187,6 +208,11 @@ class WEvalParams:
             raise InputError(f"tau must lie in the upper half plane, got {self.tau}")
         if self.tau.imag < _IM_TAU_MIN:
             raise InputError(f"Im tau must be at least {_IM_TAU_MIN}, got {self.tau.imag!r}")
+        if abs(self.tau.real) > _RE_TAU_MAX:
+            raise InputError(
+                f"|Re tau| must be at most {_RE_TAU_MAX} (W has period 1 in tau, so reduce Re tau mod 1),"
+                f" got {self.tau.real!r}"
+            )
         if self.k_range < 1:
             raise InputError(f"k_range must be >= 1, got {self.k_range}")
         if self.k_range > _K_RANGE_MAX:
@@ -223,6 +249,14 @@ def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
     depends only on b, so it is evaluated once per b; the lattice points are
     plain ints and floats.  Tail fields are heuristic upper estimates from the
     last ring of each truncation.
+
+    Only the points with pi*v*(lambda^2+lambda'^2) <= _GAUSS_CUTOFF = 760 are
+    visited, so the cost is about the number of points in that ellipse,
+    O(1/v), and does not grow with the box once the box covers it.  Every
+    skipped term has e^{-pi v (...)} == 0.0 exactly (math.exp is 0.0 below
+    about -745.13), so adding it would change neither the sum nor the shell
+    sum: the visited points are summed in the same order (a outer, b
+    ascending) and the result is bit-identical to the full box.
     """
     tau = params.tau
     u, v = tau.real, tau.imag
@@ -249,12 +283,25 @@ def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
         (b, beta_scaled(math.pi * v * field.disc * b * b), b * w, b * w_c, field.n0 * b * b)
         for b in coords
     ]
+    # x^2 + y^2 is the integer form Q(a, b) = 2a^2 + 2*s0*ab + q_bb*b^2.  Row a
+    # keeps the b with Q(a, b) <= q_cut, between the roots
+    # (-s0*a -+ sqrt(q_bb*q_cut - disc*a^2))/q_bb, widened by one against
+    # rounding and clipped to the box.  The centre -s0*a/q_bb lies in the box,
+    # so a row with real roots is never empty.
+    q_bb = field.s0 * field.s0 - 2 * field.n0
+    q_cut = _GAUSS_CUTOFF / (math.pi * v)
     gauss, phase = -math.pi * v, 2j * math.pi
     beta_sum = 0.0j
     shell_abs = 0.0
     for a in coords:
+        root_sq = q_bb * q_cut - field.disc * a * a
+        if root_sq < 0:
+            continue
+        root = math.sqrt(root_sq)
+        lo = max(math.floor((-field.s0 * a - root) / q_bb) - 1, -box)
+        hi = min(math.ceil((-field.s0 * a + root) / q_bb) + 1, box)
         on_shell = abs(a) == box
-        for b, beta, bw, bw_c, n_b in columns:
+        for b, beta, bw, bw_c, n_b in columns[lo + box : hi + box + 1]:
             x, y = a + bw, a + bw_c
             mag = beta * math.exp(gauss * (x * x + y * y))
             beta_sum += mag * cmath.exp(phase * float(a * a + field.s0 * a * b + n_b) * u)

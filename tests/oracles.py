@@ -3,7 +3,8 @@
 Units come from a per-coefficient Pell scan (no continued fractions), so
 agreement is a real cross-check.  The norm-class enumeration and the beta
 lattice sum are the exact-element routes: every candidate or lattice point is
-a QuadElem, tested, embedded and normed on its own.
+a QuadElem, tested, embedded and normed on its own.  The orbit-minimum
+coefficient evaluates every term once per sign, over the library's classes.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from sollink.qfield import NormClass
+from sollink.qfield import NormClass, enumerate_norm_classes
 from sollink.special_fn import beta_scaled
 
 _B_CAP = 10**6  # d=94 needs b = 221064; nothing below 100 needs more
@@ -57,6 +58,20 @@ def pell_units(d: int) -> tuple[tuple[int, int, int], tuple[int, int]]:
                 return first, _unit_coords(d, t, b)
             return first, _unit_coords(d, disc * b * b - 2, t * b)
     raise RuntimeError(f"no unit with b <= {_B_CAP} for d={d}")
+
+
+def min_series_coeff_reference(field, n: int, k_range: int) -> float:
+    """min_series_coeff with every exp(min(...)) term evaluated for each sign,
+    summed classes, then signs, then k ascending."""
+    log_eps = math.log(field.eps.embed())
+    total = 0.0
+    for cls in enumerate_norm_classes(field, n):
+        log_mu = math.log(cls.rep.embed())
+        log_mu_c = math.log(cls.rep.embed(conjugate=True))
+        for _sign in (1, -1):
+            for k in range(-k_range, k_range + 1):
+                total += math.exp(min(log_mu + k * log_eps, log_mu_c - k * log_eps))
+    return total / math.sqrt(2 * field.disc)
 
 
 def beta_lattice_reference(field, tau: complex, box: int) -> tuple[complex, float]:

@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,8 +20,12 @@ from sollink import (
     lk_qexpansion,
     min_series_coeff,
 )
+import oracles
+import sollink.cycles
+import sollink.qfield
+import sollink.qseries
 from conftest import field
-from oracles import beta_lattice_reference
+from oracles import beta_lattice_reference, min_series_coeff_reference
 
 D5_M1 = {1: Fraction(2), 2: Fraction(0), 3: Fraction(0), 4: Fraction(4), 5: Fraction(4)}
 
@@ -41,6 +47,24 @@ def test_min_series_rejects(field5):
         min_series_coeff(field5, 1, 0)
 
 
+@pytest.mark.parametrize("d", [2, 5, 13, 94])
+def test_min_series_matches_reference(monkeypatch, d):
+    # one enumeration per norm for both routes: d = 94 scans about 3 s per pass
+    classes = {}
+
+    def enumerate_once(f, n):
+        if n not in classes:
+            classes[n] = sollink.qfield.enumerate_norm_classes(f, n)
+        return classes[n]
+
+    monkeypatch.setattr(sollink.qseries, "enumerate_norm_classes", enumerate_once)
+    monkeypatch.setattr(oracles, "enumerate_norm_classes", enumerate_once)
+    f = field(d)
+    for n in range(1, 21):
+        for k_range in (1, 60, 300):
+            assert min_series_coeff(f, n, k_range) == min_series_coeff_reference(f, n, k_range)
+
+
 def test_ratio_report_d5(field5):
     report = holomorphic_ratio_test(field5, 10, 60)
     assert report.d == 5 and report.k_range == 60
@@ -49,6 +73,19 @@ def test_ratio_report_d5(field5):
     assert report.inconsistent == ()
     assert report.spread <= 1e-8
     assert report.ratios[1] == pytest.approx(math.sqrt(2) / 2, abs=1e-10)
+
+
+def test_ratio_test_enumerates_each_norm_once(monkeypatch, field13):
+    calls = Counter()
+
+    def counting(f, n):
+        calls[n] += 1
+        return sollink.qfield.enumerate_norm_classes(f, n)
+
+    monkeypatch.setattr(sollink.qseries, "enumerate_norm_classes", counting)
+    monkeypatch.setattr(sollink.cycles, "enumerate_norm_classes", counting)
+    holomorphic_ratio_test(field13, 12, 40)
+    assert calls == {n: 1 for n in range(1, 13)}
 
 
 def test_ratio_constant_shared_between_fields(field5, field13):
@@ -177,14 +214,36 @@ def test_eval_params_validation():
         with pytest.raises(InputError, match="Im tau must be at least 1e-08"):
             WEvalParams(tau=complex(-0.5, tiny))
     assert WEvalParams(tau=1e-8j).tau == 1e-8j
+    for far in (1e6 + 1, -1e7, 1e308):
+        with pytest.raises(InputError, match=r"\|Re tau\| must be at most 1000000 \(W has period 1"):
+            WEvalParams(tau=complex(far, 1))
+    assert WEvalParams(tau=complex(-1e6, 1)).tau.real == -1e6
+    assert WEvalParams(tau=complex(1e6, 1)).tau.real == 1e6
 
 
+# 0.3+0.05i keeps nearly the whole box up to box 40, 8i keeps a handful of points
 @pytest.mark.parametrize("d", [2, 3, 5, 13, 94])
 @pytest.mark.parametrize("box", [1, 7, 40])
-@pytest.mark.parametrize("tau", [0.25 + 0.6j, 1.3j, -0.4 + 2.0j, 3.7 + 2.5j])
+@pytest.mark.parametrize("tau", [0.25 + 0.6j, 1.3j, -0.4 + 2.0j, 3.7 + 2.5j, 0.3 + 0.05j, 8j])
 def test_beta_lattice_matches_reference(d, box, tau):
     report = eval_W(field(d), WEvalParams(tau=tau, box=box, n_cut=1))
     assert (report.beta_part, report.beta_tail) == beta_lattice_reference(field(d), tau, box)
+
+
+def test_beta_lattice_matches_reference_box_120(field5):
+    # the kept ellipse, |a| < 54 and |b| < 45, lies strictly inside the box
+    tau = 0.3 + 0.05j
+    report = eval_W(field5, WEvalParams(tau=tau, box=120, n_cut=1))
+    assert (report.beta_part, report.beta_tail) == beta_lattice_reference(field5, tau, 120)
+
+
+def test_eval_w_cost_does_not_grow_with_box(field5):
+    tau = 0.3 + 1j
+    start = time.perf_counter()
+    report = eval_W(field5, WEvalParams(tau=tau, box=1000))
+    elapsed = time.perf_counter() - start
+    assert report.beta_part == eval_W(field5, WEvalParams(tau=tau, box=40)).beta_part
+    assert elapsed < 0.5  # the full box is 4*10^6 points, seconds of work
 
 
 def test_eval_w_period_one(field5):
