@@ -6,6 +6,9 @@ class mu runs min' = gcd-many times parallel along the line R*mu, and two
 families link inside the Sol cross-section, where the gluing is multiplication
 by the conjugate totally positive fundamental unit.  The symplectic form is
 <x, y> = (x*y' - x'*y)/sqrt(disc), exact and rational on field elements.
+Linking numbers come from per-norm class sums (_link_numbers); the
+component-pair double sum they reduce to is the test oracle
+tests/oracles.link_boundary.
 """
 
 from __future__ import annotations
@@ -17,19 +20,6 @@ from fractions import Fraction
 from .errors import ConsistencyError, InputError
 from .qfield import FieldData, NormClass, QuadElem, enumerate_norm_classes
 from . import sol as _sol
-
-
-def symplectic_pairing(x: QuadElem, y: QuadElem) -> Fraction:
-    """<x, y> = (x*y' - x'*y)/sqrt(disc), the w-coordinate of x*y'."""
-    if x.field != y.field:
-        raise InputError("pairing requires elements of one field")
-    return (x * y.conj()).b
-
-
-def multiplicity(x: QuadElem) -> int:
-    """min over nonzero lattice pairings |<lambda, x>|: gcd(<1, x>, <w, x>) =
-    gcd(-b, a) for x = a + b*w, the content of x."""
-    return x.content()
 
 
 @dataclass(frozen=True)
@@ -58,95 +48,16 @@ def boundary_components(field: FieldData, n) -> list[BoundaryComponent]:
     return out
 
 
-@dataclass(frozen=True)
-class WLattice:
-    """Rank-2 lattice with an integral bilinear form, given by its Gram matrix."""
-
-    gram: tuple[tuple[int, int], tuple[int, int]]
-
-    @classmethod
-    def from_field(cls, field: FieldData) -> "WLattice":
-        """Gram matrix of the trace pairing (x, y) = Tr(x*y') on basis (1, w)."""
-        return cls(gram=((2, field.s0), (field.s0, 2 * field.n0)))
-
-
-def _perp_from_gram(gram, x: tuple[int, int]) -> tuple[int, int]:
-    gx = (gram[0][0] * x[0] + gram[0][1] * x[1], gram[1][0] * x[0] + gram[1][1] * x[1])
-    cand = (-gx[1], gx[0])
-    if cand == (0, 0):
-        raise InputError("form is degenerate at x")
-    g = math.gcd(cand[0], cand[1])
-    cand = (cand[0] // g, cand[1] // g)
-    orient = x[0] * cand[1] - x[1] * cand[0]
-    if orient == 0:
-        raise InputError("x is isotropic; its perp line is its own span")
-    return cand if orient > 0 else (-cand[0], -cand[1])
-
-
-def j_perp(field_or_lattice, x):
-    """Primitive lattice vector orthogonal to x for the quadratic form,
-    oriented so that (x, Jx) is a positive basis.
-
-    Accepts a FieldData with a QuadElem (trace pairing on (1, w)) or a
-    WLattice with integer coordinates.
-    """
-    if isinstance(field_or_lattice, FieldData):
-        field = field_or_lattice
-        if not isinstance(x, QuadElem) or x.field != field:
-            raise InputError("expected an element of the given field")
-        if not x.is_integral() or (x.a == 0 and x.b == 0):
-            raise InputError("j_perp requires a nonzero integral element")
-        lat = WLattice.from_field(field)
-        coords = _perp_from_gram(lat.gram, (int(x.a), int(x.b)))
-        return field.element(coords[0], coords[1])
-    if isinstance(field_or_lattice, WLattice):
-        x = (int(x[0]), int(x[1]))
-        if x == (0, 0):
-            raise InputError("j_perp requires a nonzero vector")
-        return _perp_from_gram(field_or_lattice.gram, x)
-    raise InputError(f"expected FieldData or WLattice, got {type(field_or_lattice)!r}")
-
-
-def fiber_coords(x: QuadElem) -> tuple[int, int]:
-    """Coordinates of a field element as a fiber homology class.
-
-    The dictionary (a + b*w) -> (b, a) turns the symplectic pairing into the
-    standard oriented-area pairing on Z^2, so sol.link_fiber applies verbatim
-    to classes written this way (with the gluing conjugated by the same swap).
-    """
-    if not x.is_integral():
-        raise InputError("fiber classes must be integral")
-    return (int(x.b), int(x.a))
-
-
-def link_boundary(field: FieldData, n, m) -> Fraction:
-    """Linking number of the norm-n and norm-m boundary families.
-
-    Double sum of min'(mu) * min'(nu) * <g Jmu, Jnu> over component pairs,
-    with J the primitive totally positive direction, g division by (eps - 1),
-    and a global factor 2 for the two signs of each class.  Same-fiber pairs
-    (proportional classes) inherit the positive push-off convention of
-    sol.link_fiber.  This is the reference route; tables use _link_numbers.
-    """
-    comps_n, comps_m = boundary_components(field, n), boundary_components(field, m)
-    gm1 = field.eps - 1  # g acts on classes as division by (eps - 1)
-    total = Fraction(0)
-    for cn in comps_n:
-        g_dir = cn.fiber_label / gm1
-        for cm in comps_m:
-            term = symplectic_pairing(g_dir, cm.fiber_label)
-            total += 2 * cn.multiplicity * cm.multiplicity * term
-    return total
-
-
 def _link_numbers(field: FieldData, ns, ms) -> dict:
     """Lk(C_n, C_m) for n in ns and m in ms (both ascending), keyed (n, m) in
     that order.
 
-    The double sum of link_boundary is bilinear and multiplicity * fiber label
-    is the class rep, so Lk(n, m) = 2*<S_n/(eps - 1), S_m> with S_k the sum of
-    the reduced norm-k reps.  With S_n*(eps - 1)' = p + q*w and S_m = a + b*w
-    the cell is 2*(q*a - p*b)/N(eps - 1), all integers.
+    The component-pair double sum of 2 * min'(mu) * min'(nu) * <g Jmu, Jnu>
+    (tests/oracles.link_boundary, with g division by eps - 1) is bilinear and
+    multiplicity * fiber label is the class rep, so
+    Lk(n, m) = 2*<S_n/(eps - 1), S_m> with S_k the sum of the reduced norm-k
+    reps.  With S_n*(eps - 1)' = p + q*w and S_m = a + b*w the cell is
+    2*(q*a - p*b)/N(eps - 1), all integers.
     """
     comps = {k: boundary_components(field, k) for k in sorted({*ns, *ms})}
     return _link_cells(field, comps, ns, ms)

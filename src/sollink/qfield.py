@@ -364,20 +364,3 @@ def enumerate_norm_classes(field: FieldData, n: Rat) -> list[NormClass]:
     norm = Fraction(n)
     return [NormClass(rep=field.element(a, b), n=norm) for a, b in coords]
 
-
-def brute_force_norm_solutions(field: FieldData, n: Rat, bound: int) -> list[QuadElem]:
-    """Every totally positive a + b*w with norm n and |a|, |b| <= bound.
-
-    Unreduced box search; the oracle counterpart of enumerate_norm_classes.
-    """
-    n = Fraction(n)
-    if n <= 0:
-        raise InputError(f"norm must be positive, got {n}")
-    out = []
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            x = field.element(a, b)
-            if x.norm() == n and x.is_totally_positive():
-                out.append(x)
-    out.sort(key=lambda x: (x.a, x.b))
-    return out

@@ -22,12 +22,19 @@ from .cycles import _link_cells, _link_numbers, boundary_components
 from .special_fn import beta_scaled
 
 
-def _fraction_from_str(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational literal: {text!r}") from exc
-    return value
+def _is_exact_json(value) -> bool:
+    """A JSON string or integer; JSON floats are binary and true/false are
+    not numbers, so neither may stand for an exact rational."""
+    return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
+
+
+def _fraction_from_json(value) -> Fraction:
+    if _is_exact_json(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"not a rational literal: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,11 +47,6 @@ class QExpansion:
     nmax: int
     coeffs: dict  # n -> Fraction, every n in 1..nmax present
 
-    def coefficient(self, n: int) -> Fraction:
-        if n not in self.coeffs:
-            raise InputError(f"coefficient {n} is outside the stored range 1..{self.nmax}")
-        return self.coeffs[n]
-
     def to_json(self) -> str:
         payload = {
             "d": self.d,
@@ -54,25 +56,6 @@ class QExpansion:
             "coeffs": {str(n): str(self.coeffs[n]) for n in range(1, self.nmax + 1)},
         }
         return json.dumps(payload, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "QExpansion":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from exc
-        try:
-            d, m, weight, nmax = int(raw["d"]), int(raw["m"]), int(raw["weight"]), int(raw["nmax"])
-            raw_coeffs = raw["coeffs"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed q-expansion payload: {exc}") from exc
-        coeffs = {}
-        for n in range(1, nmax + 1):
-            key = str(n)
-            if key not in raw_coeffs:
-                raise InputError(f"q-expansion is missing coefficient {n}")
-            coeffs[n] = _fraction_from_str(raw_coeffs[key])
-        return cls(d=d, m=m, weight=weight, nmax=nmax, coeffs=coeffs)
 
     def to_csv(self) -> str:
         lines = ["n,value,tail_estimate"]
@@ -246,7 +229,8 @@ def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
 
     each beta term rewritten as beta_scaled(s) * e^{-pi v (lambda^2+lambda'^2)}
     * e^{2 pi i N u}, whose real exponent is never positive.  beta_scaled
-    depends only on b, so it is evaluated once per b; the lattice points are
+    depends only on b, so it is evaluated once per b that a visited point
+    has (about 2*sqrt(2*760/(pi*v*disc)) of them); the lattice points are
     plain ints and floats.  Tail fields are heuristic upper estimates from the
     last ring of each truncation.
 
@@ -272,36 +256,36 @@ def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
     holo_tail = 4 * max_coeff * q_abs ** (params.n_cut + 1) / (1 - q_abs) ** 2
 
     prefactor = -math.sqrt(2) / math.sqrt(field.disc * v)
-    # lambda = a + b*w embeds as (a + b*w, a + b*w'), w and w' as in QuadElem.embed
-    rt = math.sqrt(field.d)
-    w = (field.s0 + rt) / 2 if field.d % 4 == 1 else rt
-    w_c = field.s0 - w
+    # lambda = a + b*w embeds as (a + b*w, a + b*w')
+    w, w_c = field.omega.embed(), field.omega.embed(conjugate=True)
     box = params.box
-    coords = range(-box, box + 1)
-    # what depends on b alone: beta_scaled, b*w, b*w' and b's share of N(lambda)
-    columns = [
-        (b, beta_scaled(math.pi * v * field.disc * b * b), b * w, b * w_c, field.n0 * b * b)
-        for b in coords
-    ]
     # x^2 + y^2 is the integer form Q(a, b) = 2a^2 + 2*s0*ab + q_bb*b^2.  Row a
     # keeps the b with Q(a, b) <= q_cut, between the roots
     # (-s0*a -+ sqrt(q_bb*q_cut - disc*a^2))/q_bb, widened by one against
-    # rounding and clipped to the box.  The centre -s0*a/q_bb lies in the box,
-    # so a row with real roots is never empty.
+    # rounding.  Since (x - y)^2 = disc*b^2 is at most 2*(x^2 + y^2), no kept
+    # point has |b| above reach, so only those columns are built and rows are
+    # clipped to +-reach (a clipped point has weight 0.0 exactly).  The centre
+    # -s0*a/q_bb lies within reach, so a row with real roots is never empty.
     q_bb = field.s0 * field.s0 - 2 * field.n0
     q_cut = _GAUSS_CUTOFF / (math.pi * v)
+    reach = min(box, math.isqrt(int(2 * q_cut / field.disc)) + 1)
+    # what depends on b alone: beta_scaled, b*w, b*w' and b's share of N(lambda)
+    columns = [
+        (b, beta_scaled(math.pi * v * field.disc * b * b), b * w, b * w_c, field.n0 * b * b)
+        for b in range(-reach, reach + 1)
+    ]
     gauss, phase = -math.pi * v, 2j * math.pi
     beta_sum = 0.0j
     shell_abs = 0.0
-    for a in coords:
+    for a in range(-box, box + 1):
         root_sq = q_bb * q_cut - field.disc * a * a
         if root_sq < 0:
             continue
         root = math.sqrt(root_sq)
-        lo = max(math.floor((-field.s0 * a - root) / q_bb) - 1, -box)
-        hi = min(math.ceil((-field.s0 * a + root) / q_bb) + 1, box)
+        lo = max(math.floor((-field.s0 * a - root) / q_bb) - 1, -reach)
+        hi = min(math.ceil((-field.s0 * a + root) / q_bb) + 1, reach)
         on_shell = abs(a) == box
-        for b, beta, bw, bw_c, n_b in columns[lo + box : hi + box + 1]:
+        for b, beta, bw, bw_c, n_b in columns[lo + reach : hi + reach + 1]:
             x, y = a + bw, a + bw_c
             mag = beta * math.exp(gauss * (x * x + y * y))
             beta_sum += mag * cmath.exp(phase * float(a * a + field.s0 * a * b + n_b) * u)
@@ -325,19 +309,6 @@ class InteriorTable:
     entries: dict  # n -> Fraction
     provenance: str = ""
 
-    def entry(self, n: int) -> Fraction:
-        if n not in self.entries:
-            raise InputError(f"interior table has no entry for n = {n}")
-        return self.entries[n]
-
-    def to_json(self) -> str:
-        payload = {
-            "m": self.m,
-            "entries": {str(n): str(self.entries[n]) for n in sorted(self.entries)},
-            "provenance": self.provenance,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
     @classmethod
     def from_json(cls, text: str) -> "InteriorTable":
         try:
@@ -347,9 +318,11 @@ class InteriorTable:
         if not isinstance(raw, dict) or "m" not in raw or "entries" not in raw:
             raise InputError("interior table needs keys 'm' and 'entries'")
         try:
-            m = int(raw["m"])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad m in interior table: {raw.get('m')!r}") from exc
+            m = int(raw["m"]) if _is_exact_json(raw["m"]) else None
+        except ValueError:
+            m = None
+        if m is None:
+            raise InputError(f"bad m in interior table: {raw['m']!r}")
         if m < 1:
             raise InputError(f"interior table m must be >= 1, got {m}")
         if not isinstance(raw["entries"], dict):
@@ -360,7 +333,7 @@ class InteriorTable:
                 n = int(key)
             except ValueError as exc:
                 raise InputError(f"bad index in interior table: {key!r}") from exc
-            entries[n] = _fraction_from_str(val)
+            entries[n] = _fraction_from_json(val)
         return cls(m=m, entries=entries, provenance=str(raw.get("provenance", "")))
 
 

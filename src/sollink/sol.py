@@ -219,22 +219,13 @@ def expected_boundary(cap: CapChain) -> dict:
     return {(base, cls): coeff}
 
 
-def crossing_parameters(u: Vec, v: Vec) -> list[Fraction]:
-    """Parameters s in [0,1) where the primitive class-u geodesic through 0
-    crosses the primitive class-v geodesic through 0."""
-    det = _det2(u, v)
-    if det == 0:
-        return []
-    return [Fraction(j, abs(det)) for j in range(abs(det))]
-
-
 def cap_intersect(cap: CapChain, m: SolManifold, b, s_b) -> Fraction:
     """Signed count of the cap against a class-b circle in fiber s_b in (0,1).
 
     Only the monodromy cylinder meets interior fibers; its slice is the
-    gamma0 geodesic, and each transverse crossing with the b geodesic
-    contributes sgn(det).  Parallel classes contribute nothing (a generic
-    translate is disjoint).
+    gamma0 geodesic, which crosses the b geodesic |det| times, each crossing
+    contributing sgn(det), so the signed count is det itself.  Parallel
+    classes (det 0) contribute nothing (a generic translate is disjoint).
     """
     s_b = Fraction(s_b)
     if not 0 < s_b < 1:
@@ -246,9 +237,5 @@ def cap_intersect(cap: CapChain, m: SolManifold, b, s_b) -> Fraction:
         return Fraction(0)
     u, cu = _primitive(cap.monodromy_class)
     v, cv = _primitive(b)
-    det = _det2(u, v)
-    if det == 0:
-        return Fraction(0)
-    sign = 1 if det > 0 else -1
-    total = sign * len(crossing_parameters(u, v))
-    return cap.weight * cu * cv * total
+    # two primitive geodesics through 0 cross |det| times, each with sign sgn(det)
+    return cap.weight * cu * cv * _det2(u, v)

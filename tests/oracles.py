@@ -5,6 +5,8 @@ agreement is a real cross-check.  The norm-class enumeration and the beta
 lattice sum are the exact-element routes: every candidate or lattice point is
 a QuadElem, tested, embedded and normed on its own.  The orbit-minimum
 coefficient evaluates every term once per sign, over the library's classes.
+Boundary linking numbers come from the component-pair double sum, and norm
+solutions from an unreduced box search.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import cmath
 import math
 from fractions import Fraction
 
-from sollink.qfield import NormClass, enumerate_norm_classes
+from sollink.cycles import boundary_components
+from sollink.errors import InputError
+from sollink.qfield import FieldData, NormClass, QuadElem, Rat, enumerate_norm_classes
 from sollink.special_fn import beta_scaled
 
 _B_CAP = 10**6  # d=94 needs b = 221064; nothing below 100 needs more
@@ -118,3 +122,48 @@ def enumerate_norm_classes_reference(field, n: int) -> list:
         out.append(NormClass(rep=x, n=Fraction(n)))
     out.sort(key=lambda c: (c.rep.a, c.rep.b))
     return out
+
+
+def brute_force_norm_solutions(field: FieldData, n: Rat, bound: int) -> list[QuadElem]:
+    """Every totally positive a + b*w with norm n and |a|, |b| <= bound.
+
+    Unreduced box search; the oracle counterpart of enumerate_norm_classes.
+    """
+    n = Fraction(n)
+    if n <= 0:
+        raise InputError(f"norm must be positive, got {n}")
+    out = []
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            x = field.element(a, b)
+            if x.norm() == n and x.is_totally_positive():
+                out.append(x)
+    out.sort(key=lambda x: (x.a, x.b))
+    return out
+
+
+def symplectic_pairing(x: QuadElem, y: QuadElem) -> Fraction:
+    """<x, y> = (x*y' - x'*y)/sqrt(disc), the w-coordinate of x*y'."""
+    if x.field != y.field:
+        raise InputError("pairing requires elements of one field")
+    return (x * y.conj()).b
+
+
+def link_boundary(field: FieldData, n, m) -> Fraction:
+    """Linking number of the norm-n and norm-m boundary families.
+
+    Double sum of min'(mu) * min'(nu) * <g Jmu, Jnu> over component pairs,
+    with J the primitive totally positive direction, g division by (eps - 1),
+    and a global factor 2 for the two signs of each class.  Same-fiber pairs
+    (proportional classes) inherit the positive push-off convention of
+    sol.link_fiber.  This is the reference route; tables use _link_numbers.
+    """
+    comps_n, comps_m = boundary_components(field, n), boundary_components(field, m)
+    gm1 = field.eps - 1  # g acts on classes as division by (eps - 1)
+    total = Fraction(0)
+    for cn in comps_n:
+        g_dir = cn.fiber_label / gm1
+        for cm in comps_m:
+            term = symplectic_pairing(g_dir, cm.fiber_label)
+            total += 2 * cn.multiplicity * cm.multiplicity * term
+    return total

@@ -27,7 +27,6 @@ from sollink import (
     eval_W,
     expected_boundary,
     holomorphic_ratio_test,
-    link_boundary,
     link_boundary_closed,
     link_fiber,
     link_table,
@@ -37,10 +36,10 @@ from sollink import (
     quad_form,
     reduce_totally_positive,
 )
-from sollink.qfield import brute_force_norm_solutions, is_squarefree
+from sollink.qfield import is_squarefree
 from sollink.selftest import _random_class, _random_hyperbolic
 from conftest import field
-from oracles import pell_units
+from oracles import brute_force_norm_solutions, link_boundary, pell_units
 from test_special_fn import beta_quad
 
 

@@ -314,11 +314,12 @@ def test_combine_incomplete_table(tmp_path, capsys):
     assert code == 2 and "missing n = 2, 3" in err
 
 
-@pytest.mark.parametrize("entries", [["1", "2"], {"1": None}])
+@pytest.mark.parametrize("entries", [["1", "2"], {"1": None}, {"1": 0.1}, {"1": True}])
 def test_combine_rejects_malformed_interior(tmp_path, capsys, entries):
     table = tmp_path / "interior.json"
     table.write_text(json.dumps({"m": 1, "entries": entries}), encoding="utf-8")
-    code, out, err = run(capsys, "combine", "--d", "5", "--interior", str(table), "--nmax", "2")
+    # nmax 1: a well-formed {"1": ...} table would be complete, so only the entry fails
+    code, out, err = run(capsys, "combine", "--d", "5", "--interior", str(table), "--nmax", "1")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 

@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from sollink import (
     InputError,
-    brute_force_norm_solutions,
     enumerate_norm_classes,
     is_squarefree,
     make_field,
     reduce_totally_positive,
 )
 from conftest import field
-from oracles import enumerate_norm_classes_reference, pell_units
+from oracles import brute_force_norm_solutions, enumerate_norm_classes_reference, pell_units
 
 # (d, eps0 coords, eps0 norm, eps coords) on the (1, w) basis
 KNOWN_UNITS = [

@@ -13,7 +13,6 @@ from sollink import (
     boundary_cycle,
     build_cap,
     cap_intersect,
-    crossing_parameters,
     expected_boundary,
     glueing_from_unit,
     link_fiber,
@@ -102,7 +101,6 @@ def test_cap_intersect_hand_count():
     cap = build_cap(m, (1, 0))
     # cylinder slice is the (1,1) geodesic with coefficient -1; one transverse
     # crossing with (0,1) of sign +1
-    assert crossing_parameters((1, 1), (0, 1)) == [Fraction(0)]
     assert cap_intersect(cap, m, (0, 1), Fraction(1, 3)) == -1
     assert cap_intersect(cap, m, (1, 1), Fraction(1, 3)) == 0  # parallel
     assert cap_intersect(cap, m, (2, 2), Fraction(2, 3)) == 0
@@ -117,13 +115,6 @@ def test_cap_intersect_validation():
     other = make_sol(((3, 1), (2, 1)))  # different N_det
     with pytest.raises(InputError):
         cap_intersect(cap, other, (0, 1), Fraction(1, 2))
-
-
-def test_crossing_parameters():
-    assert crossing_parameters((1, 0), (0, 1)) == [Fraction(0)]
-    assert crossing_parameters((1, 0), (1, 2)) == [Fraction(0), Fraction(1, 2)]
-    assert crossing_parameters((1, 0), (2, 0)) == []
-    assert crossing_parameters((2, 3), (2, 3)) == []
 
 
 def test_oracle_equivalence_random():
