@@ -382,7 +382,7 @@ def _run_combine(args: argparse.Namespace) -> tuple[int, str]:
     try:
         with open(args.interior, encoding="utf-8") as fh:
             table = qseries.InteriorTable.from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read interior table: {exc}") from exc
     if args.m is not None and args.m != table.m:
         raise InputError(f"--m {args.m} does not match the table's m = {table.m}")
@@ -407,6 +407,9 @@ def main(argv=None) -> int:
     if args.format is None:
         args.format = "json" if args.tables else "text"
     try:
+        for name, value in vars(args).items():
+            if value == []:  # argparse before 3.13 reads --flag=-- as [] and skips the flag's type
+                raise InputError(f"--{name.replace('_', '-')} needs a value, got '--'")
         if args.format == "csv" and not args.tables:
             raise InputError(f"--format csv is not available for {args.command}")
         code, text = args.run(args)

@@ -303,7 +303,6 @@ class NormClass:
     positive units, tagged by its reduced representative."""
 
     rep: QuadElem
-    n: Fraction
 
 
 def reduce_totally_positive(field: FieldData, x: QuadElem) -> QuadElem:
@@ -361,6 +360,5 @@ def enumerate_norm_classes(field: FieldData, n: Rat) -> list[NormClass]:
             continue
         coords.append(((t - s0 * b) // 2, b))
     coords.sort()
-    norm = Fraction(n)
-    return [NormClass(rep=field.element(a, b), n=norm) for a, b in coords]
+    return [NormClass(rep=field.element(a, b)) for a, b in coords]
 

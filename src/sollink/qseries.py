@@ -89,8 +89,7 @@ def min_series_coeff(field: FieldData, n: int, k_range: int) -> float:
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    if k_range < 1:
-        raise InputError(f"k_range must be >= 1, got {k_range}")
+    _check_k_range(k_range)
     return _orbit_min_sum(field, enumerate_norm_classes(field, n), k_range)
 
 
@@ -131,8 +130,7 @@ def holomorphic_ratio_test(field: FieldData, nmax: int, k_range: int) -> RatioRe
     """
     if nmax < 1:
         raise InputError(f"nmax must be >= 1, got {nmax}")
-    if k_range < 1:
-        raise InputError(f"k_range must be >= 1, got {k_range}")
+    _check_k_range(k_range)
     ratios = {}
     omitted, inconsistent = [], []
     ns = range(1, nmax + 1)
@@ -177,6 +175,13 @@ _RE_TAU_MAX = 10**6
 _GAUSS_CUTOFF = 760.0
 
 
+def _check_k_range(k_range: int) -> None:
+    if k_range < 1:
+        raise InputError(f"k_range must be >= 1, got {k_range}")
+    if k_range > _K_RANGE_MAX:
+        raise InputError(f"k_range must be at most {_K_RANGE_MAX}, got {k_range}")
+
+
 @dataclass(frozen=True)
 class WEvalParams:
     tau: complex
@@ -196,10 +201,7 @@ class WEvalParams:
                 f"|Re tau| must be at most {_RE_TAU_MAX} (W has period 1 in tau, so reduce Re tau mod 1),"
                 f" got {self.tau.real!r}"
             )
-        if self.k_range < 1:
-            raise InputError(f"k_range must be >= 1, got {self.k_range}")
-        if self.k_range > _K_RANGE_MAX:
-            raise InputError(f"k_range must be at most {_K_RANGE_MAX}, got {self.k_range}")
+        _check_k_range(self.k_range)
         if self.box < 1:
             raise InputError(f"box must be >= 1, got {self.box}")
         if self.box > _BOX_MAX:
@@ -266,6 +268,8 @@ def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
     # point has |b| above reach, so only those columns are built and rows are
     # clipped to +-reach (a clipped point has weight 0.0 exactly).  The centre
     # -s0*a/q_bb lies within reach, so a row with real roots is never empty.
+    # Only rows with disc*a^2 <= q_bb*q_cut have real roots, and every
+    # |a| > isqrt(int(q_bb*q_cut/disc)) fails that test, so a runs to +-rows.
     q_bb = field.s0 * field.s0 - 2 * field.n0
     q_cut = _GAUSS_CUTOFF / (math.pi * v)
     reach = min(box, math.isqrt(int(2 * q_cut / field.disc)) + 1)
@@ -277,7 +281,8 @@ def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
     gauss, phase = -math.pi * v, 2j * math.pi
     beta_sum = 0.0j
     shell_abs = 0.0
-    for a in range(-box, box + 1):
+    rows = min(box, math.isqrt(int(q_bb * q_cut / field.disc)) + 1)
+    for a in range(-rows, rows + 1):
         root_sq = q_bb * q_cut - field.disc * a * a
         if root_sq < 0:
             continue

@@ -37,10 +37,7 @@ def _random_hyperbolic(rng: random.Random) -> sol.SolManifold:
         for i in range(rng.randint(2, 4)):
             x = rng.choice([-3, -2, -1, 1, 2, 3])
             shear = ((1, x), (0, 1)) if i % 2 == 0 else ((1, 0), (x, 1))
-            m = (
-                (m[0][0] * shear[0][0] + m[0][1] * shear[1][0], m[0][0] * shear[0][1] + m[0][1] * shear[1][1]),
-                (m[1][0] * shear[0][0] + m[1][1] * shear[1][0], m[1][0] * shear[0][1] + m[1][1] * shear[1][1]),
-            )
+            m = sol._mat_mul(m, shear)
         tr = m[0][0] + m[1][1]
         if abs(tr) > 2 and max(abs(e) for row in m for e in row) <= 30:
             return sol.make_sol(m)
@@ -83,18 +80,9 @@ def check_sol_conjugation(rng: random.Random, trials: int = 60) -> Verdict:
     for _ in range(trials):
         m = _random_hyperbolic(rng)
         h = _random_hyperbolic(rng).f  # any SL(2,Z) element works as h
-        hinv = ((h[1][1], -h[0][1]), (-h[1][0], h[0][0]))
-        f2 = tuple(
-            tuple(sum(h[i][k] * m.f[k][l] for k in range(2)) for l in range(2)) for i in range(2)
-        )
-        f2 = tuple(
-            tuple(sum(f2[i][k] * hinv[k][l] for k in range(2)) for l in range(2)) for i in range(2)
-        )
-        m2 = sol.make_sol(f2)
+        m2 = sol.make_sol(sol._mat_mul(sol._mat_mul(h, m.f), sol._sl2_inv(h)))
         a, b = _random_class(rng), _random_class(rng)
-        ha = (h[0][0] * a[0] + h[0][1] * a[1], h[1][0] * a[0] + h[1][1] * a[1])
-        hb = (h[0][0] * b[0] + h[0][1] * b[1], h[1][0] * b[0] + h[1][1] * b[1])
-        if sol.link_fiber(m, a, b) != sol.link_fiber(m2, ha, hb):
+        if sol.link_fiber(m, a, b) != sol.link_fiber(m2, sol._mat_vec(h, a), sol._mat_vec(h, b)):
             return ("sol-conjugation", False, f"f={m.f} h={h} a={a} b={b}")
     return ("sol-conjugation", True, f"{trials} conjugations agree exactly")
 
@@ -104,8 +92,7 @@ def check_sol_asymmetry(rng: random.Random, trials: int = 60) -> Verdict:
     for _ in range(trials):
         m = _random_hyperbolic(rng)
         a, b = _random_class(rng), _random_class(rng)
-        ga = sol._mat_vec(m.g, a)
-        gb = sol._mat_vec(m.g, b)
+        ga, gb = (tuple(Fraction(x, m.n_det) for x in sol._gamma0(m, v)) for v in (a, b))
         tr = m.f[0][0] + m.f[1][1]
         left = sol._det2(ga, b) + sol._det2(a, gb)
         right = (tr - 2) * sol._det2(ga, gb)

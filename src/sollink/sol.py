@@ -3,9 +3,10 @@
 The manifold is (R x T^2)/((s, w) ~ (s+1, f(w))) for f in SL(2,Z) with
 |trace f| > 2.  A circle of integer class a in one fiber links a circle of
 class b in another (or the same, pushed off in the positive s direction) by
-<g a, b> with g = (f^{-1} - I)^{-1} and <x, y> = x1*y2 - x2*y1.  The cap
-construction and its fiber-crossing count give an independent route to the
-same number and are used as the test oracle.
+<g a, b> with g = (f^{-1} - I)^{-1} and <x, y> = x1*y2 - x2*y1.  Since
+det f = 1, g = (f - I)/(2 - tr f), so the manifold stores only f and the
+integer N_det = 2 - tr f.  The cap construction and its fiber-crossing count
+give an independent route to the same number and are used as the test oracle.
 """
 
 from __future__ import annotations
@@ -19,12 +20,20 @@ from .qfield import FieldData
 
 Vec = tuple[int, int]
 QVec = tuple[Fraction, Fraction]
-Mat = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 IntMat = tuple[tuple[int, int], tuple[int, int]]
 
 
 def _mat_vec(m, v):
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
+
+
+def _mat_mul(m, n):
+    return tuple((r[0] * n[0][0] + r[1] * n[1][0], r[0] * n[0][1] + r[1] * n[1][1]) for r in m)
+
+
+def _sl2_inv(m):
+    """Inverse of a determinant-1 matrix: its adjugate."""
+    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
 
 
 def _det2(u, v):
@@ -39,38 +48,38 @@ def _primitive(v: Vec) -> tuple[Vec, int]:
     return (v[0] // g, v[1] // g), g
 
 
+def _int_pair(v, what: str) -> Vec:
+    """A class or a gluing row: exactly two entries, each an int."""
+    if not isinstance(v, (tuple, list)) or len(v) != 2 or not all(isinstance(x, int) for x in v):
+        raise InputError(f"{what} must be two integers, got {v!r}")
+    return (v[0], v[1])
+
+
 @dataclass(frozen=True)
 class SolManifold:
     f: IntMat
-    g: Mat  # (f^{-1} - I)^{-1}, exact rational
     n_det: int  # det(f^{-1} - I) = 2 - trace(f)
 
 
 def make_sol(f) -> SolManifold:
-    """Validate the gluing matrix (integer, det 1, |trace| > 2) and precompute
-    g = (f^{-1} - I)^{-1} and N_det."""
-    try:
-        (a, b), (c, d) = f
-    except (TypeError, ValueError):
-        raise InputError(f"gluing must be a 2x2 matrix, got {f!r}") from None
-    for entry in (a, b, c, d):
-        if not isinstance(entry, int):
-            raise InputError(f"gluing matrix must be integral, got entry {entry!r}")
+    """Validate the gluing matrix (integer, det 1, |trace| > 2) and set N_det."""
+    if not isinstance(f, (tuple, list)) or len(f) != 2:
+        raise InputError(f"gluing must be a 2x2 matrix, got {f!r}")
+    (a, b), (c, d) = (_int_pair(row, "gluing row") for row in f)
     if a * d - b * c != 1:
         raise InputError(f"gluing matrix must have determinant 1, got {a * d - b * c}")
     tr = a + d
     if abs(tr) <= 2:
         raise InputError(f"gluing matrix must be hyperbolic (|trace| > 2), got trace {tr}")
-    # f^{-1} = [[d, -b], [-c, a]]; h = f^{-1} - I
-    h = ((d - 1, -b), (-c, a - 1))
-    n_det = h[0][0] * h[1][1] - h[0][1] * h[1][0]
-    if n_det != 2 - tr:
-        raise ConsistencyError("determinant bookkeeping failed")
-    g = (
-        (Fraction(h[1][1], n_det), Fraction(-h[0][1], n_det)),
-        (Fraction(-h[1][0], n_det), Fraction(h[0][0], n_det)),
-    )
-    return SolManifold(f=((a, b), (c, d)), g=g, n_det=n_det)
+    # det f = 1 gives adj(f^{-1} - I) = f - I and det(f^{-1} - I) = 2 - tr f,
+    # so g = (f^{-1} - I)^{-1} = (f - I)/N_det with N_det = 2 - tr f
+    return SolManifold(f=((a, b), (c, d)), n_det=2 - tr)
+
+
+def _gamma0(m: SolManifold, a: Vec) -> Vec:
+    """(f - I) a = N_det * g a, an integer pair."""
+    fa = _mat_vec(m.f, a)
+    return (fa[0] - a[0], fa[1] - a[1])
 
 
 def glueing_from_unit(field: FieldData) -> SolManifold:
@@ -85,10 +94,8 @@ def glueing_from_unit(field: FieldData) -> SolManifold:
 def link_fiber(m: SolManifold, a, b) -> Fraction:
     """Linking number of the class-a circle with the class-b circle, b pushed
     off in the positive s direction when the fibers coincide."""
-    a = (int(a[0]), int(a[1]))
-    b = (int(b[0]), int(b[1]))
-    ga = _mat_vec(m.g, a)
-    return Fraction(_det2(ga, b))
+    a, b = _int_pair(a, "class a"), _int_pair(b, "class b")
+    return Fraction(_det2(_gamma0(m, a), b), m.n_det)
 
 
 @dataclass(frozen=True)
@@ -123,27 +130,14 @@ def _shoelace(vertices) -> Fraction:
 def build_cap(m: SolManifold, a, offset=(0, 0)) -> CapChain:
     """Rational 2-chain whose boundary is the class-a circle through `offset`,
     normalized to have zero area-form period."""
-    a = (int(a[0]), int(a[1]))
+    a = _int_pair(a, "class a")
     offset = (Fraction(offset[0]), Fraction(offset[1]))
     weight = Fraction(1, m.n_det)
-    if a == (0, 0):
-        return CapChain(
-            circle_class=a,
-            base_offset=offset,
-            parallelogram=(),
-            triangle=(),
-            monodromy_class=(0, 0),
-            weight=weight,
-            fiber_correction=Fraction(0),
-        )
-    ga = _mat_vec(m.g, a)
-    gamma0 = (ga[0] * m.n_det, ga[1] * m.n_det)
-    if gamma0[0].denominator != 1 or gamma0[1].denominator != 1:
-        raise ConsistencyError("N_det * g * a is not integral")
-    gamma0 = (int(gamma0[0]), int(gamma0[1]))
-    finv = ((m.f[1][1], -m.f[0][1]), (-m.f[1][0], m.f[0][0]))
+    if a == (0, 0):  # no parallelogram, triangle or cylinder
+        return CapChain(a, offset, (), (), (0, 0), weight, Fraction(0))
+    gamma0 = _gamma0(m, a)
     c2 = (Fraction(gamma0[0]), Fraction(gamma0[1]))
-    d_vert = _mat_vec(finv, c2)
+    d_vert = _mat_vec(_sl2_inv(m.f), c2)
     zero = (Fraction(0), Fraction(0))
     # oriented so the boundary is (circle through offset) - (circle through 0)
     quad = (zero, offset, (offset[0] + a[0], offset[1] + a[1]), (Fraction(a[0]), Fraction(a[1])))
@@ -232,7 +226,7 @@ def cap_intersect(cap: CapChain, m: SolManifold, b, s_b) -> Fraction:
         raise InputError(f"fiber parameter must lie in (0, 1), got {s_b}")
     if cap.weight * m.n_det != 1:
         raise InputError("cap was built for a different manifold")
-    b = (int(b[0]), int(b[1]))
+    b = _int_pair(b, "class b")
     if cap.monodromy_class == (0, 0) or b == (0, 0):
         return Fraction(0)
     u, cu = _primitive(cap.monodromy_class)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .errors import InputError
 
 _SQRT_PI = math.sqrt(math.pi)
-_EST_ERROR = 1e-12  # closed forms in double precision
 
 
 @dataclass(frozen=True)
@@ -32,11 +31,10 @@ class WPoint:
 @dataclass(frozen=True)
 class EvalReport:
     """A numeric evaluation: value, whether the input sits on a singular locus,
-    an absolute error estimate, and one-sided limits when they differ."""
+    and one-sided limits when they differ."""
 
     value: float
     singular: bool = False
-    est_error: float = _EST_ERROR
     limits: tuple[float, float] | None = None  # (x3 -> 0+, x3 -> 0-)
 
 
@@ -111,7 +109,7 @@ def phi_profile(p: WPoint) -> tuple[EvalReport, EvalReport]:
     """
     a, ap = A_profile(p), Ap_profile(p)
     b, bp = B_profile(p), Bp_profile(p)
-    b_rep = EvalReport(value=b.value + bp.value, est_error=b.est_error + bp.est_error)
+    b_rep = EvalReport(value=b.value + bp.value)
     if p.x3 == 0:
         lim_a = a.limits or (a.value, a.value)
         lim_ap = ap.limits or (ap.value, ap.value)
@@ -120,7 +118,7 @@ def phi_profile(p: WPoint) -> tuple[EvalReport, EvalReport]:
         value = 0.5 * (plus + minus)
         a_rep = EvalReport(value=value, singular=True, limits=(plus, minus))
     else:
-        a_rep = EvalReport(value=a.value + ap.value, est_error=a.est_error + ap.est_error)
+        a_rep = EvalReport(value=a.value + ap.value)
     return a_rep, b_rep
 
 

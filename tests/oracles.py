@@ -119,7 +119,7 @@ def enumerate_norm_classes_reference(field, n: int) -> list:
         # domain: b >= 0 gives x >= x'; exclude ratio exactly eps^2
         if (e2 * x.conj() - x).sign() <= 0:
             continue
-        out.append(NormClass(rep=x, n=Fraction(n)))
+        out.append(NormClass(rep=x))
     out.sort(key=lambda c: (c.rep.a, c.rep.b))
     return out
 

@@ -1,9 +1,13 @@
 """End-to-end command-line behavior: outputs, formats, exit codes."""
 
+import contextlib
+import io
 import json
+import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sollink import cli
 from sollink.errors import ConsistencyError
@@ -277,6 +281,13 @@ def test_combine_counts_the_table_m_in_the_budget(tmp_path, capsys):
     assert (code, out) == (2, "") and "up to n = 10000000000000000" in err
 
 
+def test_ratio_test_rejects_oversized_k_range(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ratio-test", "--d", "5", "--nmax", "5", "--k-range", "10001")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "") and err == "error: k_range must be at most 10000, got 10001\n"
+
+
 def test_ratio_test_text(capsys):
     code, out, _ = run(capsys, "ratio-test", "--d", "5", "--nmax", "6", "--k-range", "60")
     assert code == 0
@@ -305,6 +316,13 @@ def test_combine_m_mismatch(tmp_path, capsys):
 def test_combine_missing_file(capsys):
     code, _, err = run(capsys, "combine", "--d", "5", "--interior", "/nonexistent.json", "--nmax", "1")
     assert code == 2 and "cannot read interior table" in err
+
+
+def test_combine_rejects_non_utf8_file(tmp_path, capsys):
+    table = tmp_path / "interior.json"
+    table.write_bytes(b'\xff\xfe{"m": 1}')
+    code, out, err = run(capsys, "combine", "--d", "5", "--interior", str(table), "--nmax", "1")
+    assert (code, out) == (2, "") and err.startswith("error: cannot read interior table:") and err.count("\n") == 1
 
 
 def test_combine_incomplete_table(tmp_path, capsys):
@@ -346,6 +364,21 @@ def test_self_test_reports_failures(capsys, monkeypatch):
     assert code == 1 and "FAIL stub: boom" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("field-info", "--d=--"),
+        ("sol-link", "--f=--", "--a", "1,0", "--b", "0,1"),
+        ("ratio-test", "--d", "5", "--nmax", "3", "--k-range=--"),
+        ("qexp", "--d", "5", "--nmax", "3", "--format=--"),
+    ],
+    ids=["field-info-d", "sol-link-f", "ratio-test-k-range", "qexp-format"],
+)
+def test_double_dash_value_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "error:" in err
+
+
 def test_unknown_command(capsys):
     code = cli.main(["no-such-command"])
     capsys.readouterr()
@@ -356,3 +389,174 @@ def test_missing_required_flag(capsys):
     code = cli.main(["qexp", "--d", "5"])
     capsys.readouterr()
     assert code == 2
+
+
+# The CLI's exit-code contract under fuzzed argv and interior files.
+#
+# Each of the ten subcommands runs in-process with flags drawn from bounded
+# ranges plus their edges (0, negatives, each cap and cap + 1), junk strings,
+# tau texts with nan/inf/huge/tiny parts, and malformed or mistyped interior
+# tables.  Every call must return 0 or 2 (1 is a failed cross-check), raise
+# nothing, print nothing to stdout on exit 2, print no nan or inf on exit 0,
+# and finish within CALL_BUDGET_S.  The draws keep each call far below the
+# 8 s scan budget: d stays small, and large norms are drawn only well past
+# the budget, where the CLI exits 2 at once.
+
+CALL_BUDGET_S = 3.0
+NONFINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+JUNK = st.one_of(
+    st.sampled_from(["", "x", "1.5", "1e3", "0x10", "--", "-h", " 7 ", "1,2", "nan", "inf"]),
+    st.text(max_size=6),
+)
+
+
+def mostly(common, *rare):
+    """`common` in four draws of 4 + len(rare), else one of `rare`.  (one_of
+    merges repeated strategies, so the weights go through sampled_from.)"""
+    return st.sampled_from([common] * 4 + list(rare)).flatmap(lambda s: s)
+
+
+def ints(lo, hi, *edges):
+    """Integer text, mostly from [lo, hi], else one of `edges` or junk."""
+    rare = [st.sampled_from(edges).map(str)] if edges else []
+    return mostly(st.integers(lo, hi).map(str), *rare, JUNK)
+
+
+def listed(elements, min_size, max_size):
+    return st.lists(elements, min_size=min_size, max_size=max_size).map(lambda xs: ",".join(map(str, xs)))
+
+
+# squarefree d in 2..30, and the edges around them and around the cap 10^6
+D = mostly(
+    st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30]).map(str),
+    st.sampled_from([-3, 0, 1, 4, 10**6, 10**6 + 1]).map(str),
+    JUNK,
+)
+GLUING = mostly(
+    st.sampled_from(["2,1,1,1", "5,2,2,1", "3,1,2,1", "-3,1,-1,0", "1,2,1,3", "7,-2,-3,1"]),
+    st.sampled_from(["1,1,0,1", "2,0,0,1", "0,-1,1,0", "-1,0,0,-1"]),  # parabolic, det 2, elliptic, trace -2
+    listed(st.integers(-6, 6), 3, 5),
+    JUNK,
+)
+CLASS = mostly(listed(st.integers(-9, 9), 2, 2), listed(st.integers(-9, 9) | st.just(10**30), 1, 3), JUNK)
+IM_TAU = mostly(
+    st.floats(0.05, 3).map(repr),
+    st.sampled_from(["0", "-1", "9.9e-9", "1e-320", "5e-324", "1e308", "1e400", "nan", "inf"]),
+)
+RE_TAU = mostly(
+    st.floats(-2, 2).map(repr),
+    st.sampled_from(["1e6", "-1000000.5", "1e308", "nan", "inf", "-inf"]),
+)
+
+
+def tau(im):
+    return mostly(st.builds("{}+{}i".format, RE_TAU, im), im.map("{}i".format), JUNK)
+
+
+def flag(name, values, optional=False):
+    """Strategy for a list of (flag, text) pairs; an optional flag may be left out."""
+    if optional:
+        values = st.none() | values
+    return values.map(lambda v: [] if v is None else [(name, v)])
+
+
+# Im tau = 1e-8 is the floor; there the lattice sum visits the whole box,
+# about 4 s at box 1000, so that edge is drawn with boxes up to 40 only.
+TAU_AND_BOX = st.one_of(
+    st.tuples(tau(IM_TAU), st.none() | ints(-2, 60, 1000, 1001)),
+    st.tuples(tau(st.just("1e-8")), st.none() | ints(-2, 40)),
+).map(lambda tb: [("--tau", tb[0])] + ([] if tb[1] is None else [("--box", tb[1])]))
+K_RANGE = ints(-2, 80, 10_000, 10_001, 10**6)
+
+INTERIOR_VALID = {"m": 1, "entries": {str(n): f"{n}/3" for n in range(1, 13)}}
+INTERIOR_FILES = [
+    json.dumps(INTERIOR_VALID),
+    json.dumps({**INTERIOR_VALID, "m": 4, "provenance": "fuzz"}),
+    json.dumps({**INTERIOR_VALID, "m": 10**16}),
+    json.dumps({**INTERIOR_VALID, "m": 0}),
+    json.dumps({**INTERIOR_VALID, "m": 1.0}),
+    json.dumps({**INTERIOR_VALID, "m": True}),
+    json.dumps({"m": 1, "entries": ["1", "2"]}),
+    json.dumps({"m": 1, "entries": None}),
+    json.dumps({"m": 1, "entries": {"1": 0.1}}),
+    json.dumps({"m": 1, "entries": {"1": None}}),
+    json.dumps({"m": 1, "entries": {"1": "1/0"}}),
+    json.dumps({"m": 1, "entries": {"x": "1"}}),
+    json.dumps({"entries": {"1": "1"}}),
+    "[1, 2]",
+    "{",
+    "",
+    b'\xff\xfe{"m": 1}',
+]
+
+
+@pytest.fixture(scope="module")
+def interior_paths(tmp_path_factory):
+    """The paths of INTERIOR_FILES, then an absent file and a directory."""
+    root = tmp_path_factory.mktemp("interior")
+    paths = []
+    for i, content in enumerate(INTERIOR_FILES):
+        path = root / f"table{i}.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        paths.append(str(path))
+    return paths + [str(root / "missing.json"), str(root)]
+
+
+def flags_for(command, interior_paths):
+    """Strategy for the (flag, text) pairs of one subcommand."""
+    groups = {
+        "field-info": [flag("--d", D)],
+        "sol-link": [flag("--f", GLUING), flag("--a", CLASS), flag("--b", CLASS)],
+        "sol-cap": [flag("--f", GLUING), flag("--a", CLASS)],
+        "boundary": [flag("--d", D), flag("--n", ints(-3, 60, 10**6, 10**20))],
+        # the cells cap itself (nmax 1000) renders 10^6 lines in about 5 s
+        "lk-table": [flag("--d", D), flag("--nmax", ints(-2, 12, 1001, 10**9))],
+        "qexp": [flag("--d", D), flag("--nmax", ints(-2, 40, 10**9)), flag("--m", ints(-2, 40, 10**16), True)],
+        "w-eval": [
+            flag("--d", D),
+            TAU_AND_BOX,
+            flag("--k-range", K_RANGE, True),
+            flag("--n-cut", ints(-2, 30, 10**9), True),
+        ],
+        "ratio-test": [flag("--d", D), flag("--nmax", ints(-2, 12, 10**9)), flag("--k-range", K_RANGE, True)],
+        "combine": [
+            flag("--d", D),
+            flag("--interior", mostly(st.sampled_from(interior_paths[:2]), st.sampled_from(interior_paths))),
+            flag("--nmax", ints(-2, 12, 10**9)),
+            flag("--m", ints(-2, 5), True),
+        ],
+        "self-test": [flag("--seed", ints(-5, 50, 2**64), True)],
+    }[command]
+    groups.append(flag("--format", st.sampled_from(["json", "csv", "text", "xml"]), True))
+    return st.tuples(*groups).map(lambda gs: [pair for g in gs for pair in g])
+
+
+COMMANDS = ["field-info", "sol-link", "sol-cap", "boundary", "lk-table", "qexp", "w-eval", "ratio-test", "combine", "self-test"]
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+@given(data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_cli_contract_under_fuzzing(interior_paths, data):
+    command = data.draw(st.sampled_from(COMMANDS), label="command")
+    pairs = data.draw(flags_for(command, interior_paths), label="flags")
+    # --flag=value, so that a drawn value starting with '-' stays a value
+    argv = [command] + [f"{name}={value}" for name, value in pairs]
+    code, out, err, elapsed = call(argv)
+    assert code in (0, 2), (argv, err)
+    if code == 2:
+        assert out == "", argv
+    else:
+        assert not NONFINITE.search(out), (argv, out)
+    assert elapsed < CALL_BUDGET_S, (argv, elapsed)

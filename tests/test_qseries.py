@@ -209,6 +209,15 @@ def test_eval_params_validation():
     assert WEvalParams(tau=complex(1e6, 1)).tau.real == 1e6
 
 
+def test_series_functions_share_the_k_range_bounds(field5):
+    for series in (lambda k: min_series_coeff(field5, 1, k), lambda k: holomorphic_ratio_test(field5, 3, k)):
+        with pytest.raises(InputError, match="^k_range must be at most 10000, got 10001$"):
+            series(10_001)
+        with pytest.raises(InputError, match="^k_range must be >= 1, got 0$"):
+            series(0)
+    assert holomorphic_ratio_test(field5, 3, 10_000).k_range == 10_000
+
+
 # 0.3+0.05i keeps nearly the whole box up to box 40, 8i keeps a handful of points
 @pytest.mark.parametrize("d", [2, 3, 5, 13, 94])
 @pytest.mark.parametrize("box", [1, 7, 40])

@@ -27,7 +27,9 @@ F_EXAMPLE = ((2, 1), (1, 1))
 def test_example_gluing_data():
     m = make_sol(F_EXAMPLE)
     assert m.n_det == -1
-    assert m.g == ((Fraction(-1), Fraction(-1)), (Fraction(-1), Fraction(0)))
+    # Lk(a, b) = <g a, b> = (g a)_1 b_2 - (g a)_2 b_1 reads off the columns of g
+    columns = [(link_fiber(m, e, (0, 1)), -link_fiber(m, e, (1, 0))) for e in ((1, 0), (0, 1))]
+    assert tuple(zip(*columns)) == ((-1, -1), (-1, 0))
 
 
 def test_example_linking_values():
@@ -65,6 +67,32 @@ def test_gluing_from_unit_trace(field13):
 def test_make_sol_rejects(bad):
     with pytest.raises(InputError):
         make_sol(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (1.5, 0),
+        (1.0, 0),
+        (Fraction(3, 2), 0),
+        (Fraction(2), 0),
+        (1, 0, 0),
+        (1,),
+        5,
+    ],
+    ids=["float", "integral-float", "fraction", "integral-fraction", "three-entries", "one-entry", "scalar"],
+)
+def test_sol_classes_must_be_int_pairs(bad):
+    m = make_sol(F_EXAMPLE)
+    cap = build_cap(m, (1, 0))
+    with pytest.raises(InputError):
+        link_fiber(m, bad, (0, 1))
+    with pytest.raises(InputError):
+        link_fiber(m, (0, 1), bad)
+    with pytest.raises(InputError):
+        build_cap(m, bad)
+    with pytest.raises(InputError):
+        cap_intersect(cap, m, bad, Fraction(1, 3))
 
 
 def test_cap_example_structure():
