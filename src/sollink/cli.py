@@ -419,11 +419,15 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -316,9 +316,11 @@ class InteriorTable:
 
     @classmethod
     def from_json(cls, text: str) -> "InteriorTable":
+        # JSONDecodeError and an int over the interpreter's digit limit are both
+        # ValueError; nesting too deep is RecursionError
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"invalid JSON: {exc}") from exc
         if not isinstance(raw, dict) or "m" not in raw or "entries" not in raw:
             raise InputError("interior table needs keys 'm' and 'entries'")

@@ -115,6 +115,7 @@ class CapChain:
     monodromy_class: Vec
     weight: Fraction
     fiber_correction: Fraction
+    f: IntMat  # the gluing the cap was built for
 
 
 def _shoelace(vertices) -> Fraction:
@@ -134,7 +135,7 @@ def build_cap(m: SolManifold, a, offset=(0, 0)) -> CapChain:
     offset = (Fraction(offset[0]), Fraction(offset[1]))
     weight = Fraction(1, m.n_det)
     if a == (0, 0):  # no parallelogram, triangle or cylinder
-        return CapChain(a, offset, (), (), (0, 0), weight, Fraction(0))
+        return CapChain(a, offset, (), (), (0, 0), weight, Fraction(0), m.f)
     gamma0 = _gamma0(m, a)
     c2 = (Fraction(gamma0[0]), Fraction(gamma0[1]))
     d_vert = _mat_vec(_sl2_inv(m.f), c2)
@@ -151,6 +152,7 @@ def build_cap(m: SolManifold, a, offset=(0, 0)) -> CapChain:
         monodromy_class=gamma0,
         weight=weight,
         fiber_correction=-period,
+        f=m.f,
     )
 
 
@@ -224,7 +226,7 @@ def cap_intersect(cap: CapChain, m: SolManifold, b, s_b) -> Fraction:
     s_b = Fraction(s_b)
     if not 0 < s_b < 1:
         raise InputError(f"fiber parameter must lie in (0, 1), got {s_b}")
-    if cap.weight * m.n_det != 1:
+    if cap.f != m.f:
         raise InputError("cap was built for a different manifold")
     b = _int_pair(b, "class b")
     if cap.monodromy_class == (0, 0) or b == (0, 0):

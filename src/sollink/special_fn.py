@@ -10,6 +10,9 @@ away from x3 = 0 and the light cone:
 and the jump of A across x3 = 0 cancels against the jump of A', so A + A' and
 B + B' extend continuously.  These identities are enforced numerically by the
 test suite and the self-test command.
+
+Every profile returns a plain float.  On x3 = 0, where A and A' jump, each
+returns 0.0, the mean of its two one-sided limits.
 """
 
 from __future__ import annotations
@@ -26,16 +29,6 @@ _SQRT_PI = math.sqrt(math.pi)
 class WPoint:
     x2: float
     x3: float
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """A numeric evaluation: value, whether the input sits on a singular locus,
-    and one-sided limits when they differ."""
-
-    value: float
-    singular: bool = False
-    limits: tuple[float, float] | None = None  # (x3 -> 0+, x3 -> 0-)
 
 
 def gamma_half(a: float) -> float:
@@ -56,70 +49,46 @@ def orbit_action(s: float, p: WPoint) -> WPoint:
     return WPoint(p.x2 * ch + p.x3 * sh, p.x2 * sh + p.x3 * ch)
 
 
-def _a_value(x2: float, x3: float) -> float:
+def A_profile(p: WPoint) -> float:
+    """Odd kernel component; tends to +-(1/2) x2 e^{-pi x2^2} as x3 -> 0+-
+    and is 0.0, the mean of those limits, on x3 = 0."""
+    x2, x3 = p.x2, p.x3
+    if x3 == 0:
+        return 0.0
     sgn = math.copysign(1.0, x3)
     return 0.5 / _SQRT_PI * x2 * sgn * gamma_half(2 * math.pi * x3 * x3) * math.exp(-math.pi * (x2 * x2 - x3 * x3))
 
 
-def A_profile(p: WPoint) -> EvalReport:
-    """Odd kernel component; jumps across x3 = 0 by x2 * e^{-pi (x,x)}."""
-    if p.x3 == 0:
-        lim = 0.5 * p.x2 * math.exp(-math.pi * p.x2 * p.x2)
-        return EvalReport(value=0.0, singular=True, limits=(lim, -lim))
-    return EvalReport(value=_a_value(p.x2, p.x3))
-
-
-def B_profile(p: WPoint) -> EvalReport:
+def B_profile(p: WPoint) -> float:
     """Even kernel component; continuous, not C^1 across x3 = 0."""
     x2, x3 = p.x2, p.x3
     term1 = -math.exp(-math.pi * (x2 * x2 + x3 * x3)) / (2 * math.sqrt(2) * math.pi)
     term2 = 0.5 / _SQRT_PI * abs(x3) * gamma_half(2 * math.pi * x3 * x3) * math.exp(-math.pi * (x2 * x2 - x3 * x3))
-    return EvalReport(value=term1 + term2)
+    return term1 + term2
 
 
-def Bp_profile(p: WPoint) -> EvalReport:
+def Bp_profile(p: WPoint) -> float:
     """Singular even counterpart: (1/2) min(|x2-x3|, |x2+x3|) e^{-pi (x,x)}
     inside the positive cone x2^2 > x3^2, zero outside and on the cone."""
     q = quad_form(p)
     if q <= 0:
-        return EvalReport(value=0.0)
-    value = 0.5 * min(abs(p.x2 - p.x3), abs(p.x2 + p.x3)) * math.exp(-math.pi * q)
-    return EvalReport(value=value)
+        return 0.0
+    return 0.5 * min(abs(p.x2 - p.x3), abs(p.x2 + p.x3)) * math.exp(-math.pi * q)
 
 
-def Ap_profile(p: WPoint) -> EvalReport:
-    """Singular odd counterpart: -sgn(x2 x3) * Bp; jumps across x3 = 0
-    oppositely to A_profile."""
-    bp = Bp_profile(p).value
+def Ap_profile(p: WPoint) -> float:
+    """Singular odd counterpart -sgn(x2 x3) * Bp; inside the cone it tends to
+    -+(1/2) x2 e^{-pi x2^2} as x3 -> 0+-, opposite to A, and is 0.0 on x3 = 0."""
     if p.x3 == 0:
-        if bp == 0.0:
-            return EvalReport(value=0.0)
-        lim = -0.5 * p.x2 * math.exp(-math.pi * p.x2 * p.x2)
-        return EvalReport(value=0.0, singular=True, limits=(lim, -lim))
+        return 0.0
     sgn = math.copysign(1.0, p.x2 * p.x3) if p.x2 != 0 else 0.0
-    return EvalReport(value=-sgn * bp)
+    return -sgn * Bp_profile(p)
 
 
-def phi_profile(p: WPoint) -> tuple[EvalReport, EvalReport]:
-    """Combined profiles (A + A', B + B').
-
-    The jumps of A and A' across x3 = 0 cancel; when the input lies on that
-    locus the first component is flagged singular and carries the matched
-    one-sided limits (value = the common continuous extension).
-    """
-    a, ap = A_profile(p), Ap_profile(p)
-    b, bp = B_profile(p), Bp_profile(p)
-    b_rep = EvalReport(value=b.value + bp.value)
-    if p.x3 == 0:
-        lim_a = a.limits or (a.value, a.value)
-        lim_ap = ap.limits or (ap.value, ap.value)
-        plus = lim_a[0] + lim_ap[0]
-        minus = lim_a[1] + lim_ap[1]
-        value = 0.5 * (plus + minus)
-        a_rep = EvalReport(value=value, singular=True, limits=(plus, minus))
-    else:
-        a_rep = EvalReport(value=a.value + ap.value)
-    return a_rep, b_rep
+def phi_profile(p: WPoint) -> tuple[float, float]:
+    """Combined profiles (A + A', B + B'); the jumps of A and A' across x3 = 0
+    cancel, so both extend continuously."""
+    return A_profile(p) + Ap_profile(p), B_profile(p) + Bp_profile(p)
 
 
 def beta_fn(s: float) -> float:

@@ -160,8 +160,8 @@ def test_criterion_07_special_function_identities():
         x2 = rng.uniform(-2.2, 2.2)
         x3 = rng.choice([-1, 1]) * rng.uniform(0.2, 1.6)
         p = WPoint(x2, x3)
-        fd = -(B_profile(orbit_action(-h, p)).value - B_profile(orbit_action(h, p)).value) / (2 * h)
-        a = A_profile(p).value
+        fd = -(B_profile(orbit_action(-h, p)) - B_profile(orbit_action(h, p))) / (2 * h)
+        a = A_profile(p)
         assert abs(fd - a) <= 1e-5 * max(abs(a), 1e-9)
 
     hp = 1e-3
@@ -172,19 +172,21 @@ def test_criterion_07_special_function_identities():
             continue
         p = WPoint(x2, x3)
         for profile in (B_profile, Bp_profile):
-            f0 = profile(p).value
-            d22 = (profile(WPoint(x2 + hp, x3)).value - 2 * f0 + profile(WPoint(x2 - hp, x3)).value) / hp**2
-            d33 = (profile(WPoint(x2, x3 + hp)).value - 2 * f0 + profile(WPoint(x2, x3 - hp)).value) / hp**2
+            f0 = profile(p)
+            d22 = (profile(WPoint(x2 + hp, x3)) - 2 * f0 + profile(WPoint(x2 - hp, x3))) / hp**2
+            d33 = (profile(WPoint(x2, x3 + hp)) - 2 * f0 + profile(WPoint(x2, x3 - hp))) / hp**2
             lhs = -(d22 - d33) / (4 * math.pi) + math.pi * quad_form(p) * f0
             assert abs(lhs - 2 * f0) <= 1e-3 * max(abs(2 * f0), 1e-6)
 
     delta = 1e-9
     for x2 in (0.4, 1.0, 1.7, -0.8, 2.3):
-        a, ap = A_profile(WPoint(x2, 0.0)), Ap_profile(WPoint(x2, 0.0))
-        assert a.limits[0] + ap.limits[0] == 0.0 and a.limits[1] + ap.limits[1] == 0.0
+        lim = 0.5 * x2 * math.exp(-math.pi * x2 * x2)
+        for side in (1, -1):
+            p = WPoint(x2, side * delta)
+            assert abs(A_profile(p) - side * lim) <= 1e-8 and abs(Ap_profile(p) + side * lim) <= 1e-8
         above, _ = phi_profile(WPoint(x2, delta))
         below, _ = phi_profile(WPoint(x2, -delta))
-        assert abs(above.value - below.value) <= 1e-8
+        assert abs(above - below) <= 1e-8
 
     points = [0.0] + [0.01 * (30 / 0.01) ** (i / 18) for i in range(19)]
     assert len(points) == 20

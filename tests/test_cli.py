@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 import time
 
 import pytest
@@ -332,14 +333,46 @@ def test_combine_incomplete_table(tmp_path, capsys):
     assert code == 2 and "missing n = 2, 3" in err
 
 
-@pytest.mark.parametrize("entries", [["1", "2"], {"1": None}, {"1": 0.1}, {"1": True}])
+# Whole interior files that json.loads rejects with RecursionError or, over the
+# interpreter's integer digit limit (4300 by default), with a plain ValueError.
+BIG_INT = "7" * 5000
+INTERIOR_TOO_DEEP = "[" * 200_000
+INTERIOR_BIG_ENTRY = '{"m": 1, "entries": {"1": %s}}' % BIG_INT
+INTERIOR_BIG_M = '{"m": %s, "entries": {"1": "1"}}' % BIG_INT
+INT_DIGITS_LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(BIG_INT)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ["1", "2"],
+        {"1": None},
+        {"1": 0.1},
+        {"1": True},
+        pytest.param(INTERIOR_TOO_DEEP, id="too-deep"),
+        pytest.param(INTERIOR_BIG_ENTRY, id="big-int-entry"),
+        pytest.param(INTERIOR_BIG_M, id="big-int-m"),
+    ],
+)
 def test_combine_rejects_malformed_interior(tmp_path, capsys, entries):
+    """`entries` is the entries of an m = 1 table, or a str holding the whole file."""
     table = tmp_path / "interior.json"
-    table.write_text(json.dumps({"m": 1, "entries": entries}), encoding="utf-8")
+    text = entries if isinstance(entries, str) else json.dumps({"m": 1, "entries": entries})
+    table.write_text(text, encoding="utf-8")
     # nmax 1: a well-formed {"1": ...} table would be complete, so only the entry fails
     code, out, err = run(capsys, "combine", "--d", "5", "--interior", str(table), "--nmax", "1")
+    if code == 0 and BIG_INT in text and not INT_DIGITS_LIMITED:
+        return  # without the digit limit the big int is a valid rational
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_output_exits_2(tmp_path, capsys, target):
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, "field-info", "--d", "5", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output:") and err.count("\n") == 1
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):
@@ -488,6 +521,9 @@ INTERIOR_FILES = [
     "{",
     "",
     b'\xff\xfe{"m": 1}',
+    INTERIOR_TOO_DEEP,
+    INTERIOR_BIG_ENTRY,
+    INTERIOR_BIG_M,
 ]
 
 

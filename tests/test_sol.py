@@ -143,6 +143,13 @@ def test_cap_intersect_validation():
     other = make_sol(((3, 1), (2, 1)))  # different N_det
     with pytest.raises(InputError):
         cap_intersect(cap, other, (0, 1), Fraction(1, 2))
+    # same N_det = -1, different gluing: Lk = 0 there, so a wrong answer would be -1
+    f1, f2 = make_sol(((2, 1), (1, 1))), make_sol(((1, 1), (1, 2)))
+    assert f1.n_det == f2.n_det and link_fiber(f2, (1, 0), (0, 1)) == 0
+    with pytest.raises(InputError, match="different manifold"):
+        cap_intersect(build_cap(f1, (1, 0)), f2, (0, 1), Fraction(1, 3))
+    with pytest.raises(InputError, match="different manifold"):
+        cap_intersect(build_cap(f1, (0, 0)), f2, (0, 1), Fraction(1, 3))
 
 
 def test_oracle_equivalence_random():

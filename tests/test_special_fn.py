@@ -102,50 +102,53 @@ def test_quad_form_and_orbit():
 def test_a_profile_values_and_jump():
     p = WPoint(1.0, 0.5)
     expect = 0.5 / SQRT_PI * 1.0 * gamma_half(2 * math.pi * 0.25) * math.exp(-math.pi * 0.75)
-    assert A_profile(p).value == pytest.approx(expect, abs=1e-15)
-    assert A_profile(WPoint(1.0, -0.5)).value == -A_profile(p).value
+    assert A_profile(p) == pytest.approx(expect, abs=1e-15)
+    assert A_profile(WPoint(1.0, -0.5)) == -A_profile(p)
 
-    on_axis = A_profile(WPoint(1.0, 0.0))
-    assert on_axis.singular and on_axis.value == 0.0
+    assert A_profile(WPoint(1.0, 0.0)) == 0.0  # mean of the one-sided limits
     lim = 0.5 * math.exp(-math.pi)
-    assert on_axis.limits == (pytest.approx(lim, abs=1e-15), pytest.approx(-lim, abs=1e-15))
+    assert A_profile(WPoint(1.0, 1e-9)) == pytest.approx(lim, abs=1e-8)
+    assert A_profile(WPoint(1.0, -1e-9)) == pytest.approx(-lim, abs=1e-8)
 
 
 def test_b_profile_values():
-    assert B_profile(WPoint(0.0, 0.0)).value == pytest.approx(-1 / (2 * math.sqrt(2) * math.pi), abs=1e-15)
+    assert B_profile(WPoint(0.0, 0.0)) == pytest.approx(-1 / (2 * math.sqrt(2) * math.pi), abs=1e-15)
     p = WPoint(1.0, 0.5)
-    assert B_profile(p).value == B_profile(WPoint(1.0, -0.5)).value
-    assert B_profile(p).value == B_profile(WPoint(-1.0, 0.5)).value
+    assert B_profile(p) == B_profile(WPoint(1.0, -0.5))
+    assert B_profile(p) == B_profile(WPoint(-1.0, 0.5))
 
 
 def test_bp_profile_cone_support():
-    assert Bp_profile(WPoint(1.0, 2.0)).value == 0.0
-    assert Bp_profile(WPoint(1.0, 1.0)).value == 0.0
+    assert Bp_profile(WPoint(1.0, 2.0)) == 0.0
+    assert Bp_profile(WPoint(1.0, 1.0)) == 0.0
     p = WPoint(1.0, 0.5)
-    assert Bp_profile(p).value == pytest.approx(0.5 * 0.5 * math.exp(-math.pi * 0.75), abs=1e-15)
-    assert Bp_profile(WPoint(-1.0, 0.5)).value == Bp_profile(p).value
+    assert Bp_profile(p) == pytest.approx(0.5 * 0.5 * math.exp(-math.pi * 0.75), abs=1e-15)
+    assert Bp_profile(WPoint(-1.0, 0.5)) == Bp_profile(p)
 
 
 def test_ap_profile_values():
     p = WPoint(1.0, 0.5)
-    assert Ap_profile(p).value == pytest.approx(-Bp_profile(p).value, abs=1e-18)
-    assert Ap_profile(WPoint(1.0, -0.5)).value == -Ap_profile(p).value
-    assert Ap_profile(WPoint(1.0, 2.0)).value == 0.0  # outside the cone
+    assert Ap_profile(p) == pytest.approx(-Bp_profile(p), abs=1e-18)
+    assert Ap_profile(WPoint(1.0, -0.5)) == -Ap_profile(p)
+    assert Ap_profile(WPoint(1.0, 2.0)) == 0.0  # outside the cone
 
-    on_axis = Ap_profile(WPoint(1.0, 0.0))
-    assert on_axis.singular
-    outside = Ap_profile(WPoint(0.0, 0.0))
-    assert not outside.singular and outside.value == 0.0
+    assert Ap_profile(WPoint(1.0, 0.0)) == 0.0  # mean of the one-sided limits
+    lim = 0.5 * math.exp(-math.pi)
+    assert Ap_profile(WPoint(1.0, 1e-9)) == pytest.approx(-lim, abs=1e-8)
+    assert Ap_profile(WPoint(1.0, -1e-9)) == pytest.approx(lim, abs=1e-8)
+    assert Ap_profile(WPoint(0.0, 0.0)) == 0.0
 
 
 def test_jump_cancellation_exact():
     for x2 in [0.3, 1.0, -1.7, 2.4]:
-        a, ap = A_profile(WPoint(x2, 0.0)), Ap_profile(WPoint(x2, 0.0))
-        assert a.limits[0] + ap.limits[0] == 0.0
-        assert a.limits[1] + ap.limits[1] == 0.0
+        assert A_profile(WPoint(x2, 0.0)) == Ap_profile(WPoint(x2, 0.0)) == 0.0
         combined, _ = phi_profile(WPoint(x2, 0.0))
-        assert combined.singular and combined.limits == (0.0, 0.0)
-        assert combined.value == 0.0
+        assert combined == 0.0
+        lim = 0.5 * x2 * math.exp(-math.pi * x2 * x2)
+        for side in (1, -1):
+            p = WPoint(x2, side * 1e-9)
+            assert A_profile(p) == pytest.approx(side * lim, abs=1e-8)
+            assert Ap_profile(p) == pytest.approx(-side * lim, abs=1e-8)
 
 
 def test_phi_profile_continuity():
@@ -154,8 +157,8 @@ def test_phi_profile_continuity():
         above, _ = phi_profile(WPoint(x2, delta))
         below, _ = phi_profile(WPoint(x2, -delta))
         at, _ = phi_profile(WPoint(x2, 0.0))
-        assert abs(above.value - at.value) < 1e-8
-        assert abs(below.value - at.value) < 1e-8
+        assert abs(above - at) < 1e-8
+        assert abs(below - at) < 1e-8
 
 
 FD_POINTS = [
@@ -170,13 +173,13 @@ FD_POINTS = [
 
 def _x23(profile, p: WPoint, h: float = 1e-4) -> float:
     """(X23 F)(p) = d/ds F(orbit_action(-s, p)) at s = 0, by central difference."""
-    return (profile(orbit_action(-h, p)).value - profile(orbit_action(h, p)).value) / (2 * h)
+    return (profile(orbit_action(-h, p)) - profile(orbit_action(h, p))) / (2 * h)
 
 
 def test_flow_derivative_gives_a():
     for p in FD_POINTS:
         lhs = -_x23(B_profile, p)
-        rhs = A_profile(p).value
+        rhs = A_profile(p)
         assert lhs == pytest.approx(rhs, rel=1e-5, abs=1e-9)
 
 
@@ -185,15 +188,15 @@ def test_flow_derivative_gives_ap():
         if abs(abs(p.x2) - abs(p.x3)) < 0.2:
             continue  # B' is not smooth on the cone
         lhs = -_x23(Bp_profile, p)
-        rhs = Ap_profile(p).value
+        rhs = Ap_profile(p)
         assert lhs == pytest.approx(rhs, rel=1e-5, abs=1e-9)
 
 
 def _pde_residual(profile, p: WPoint, h: float = 1e-3) -> tuple[float, float]:
     """Return (L F, 2 F) with L = (-1/4pi)(d22 - d33) + pi (x, x)."""
-    f0 = profile(p).value
-    d22 = (profile(WPoint(p.x2 + h, p.x3)).value - 2 * f0 + profile(WPoint(p.x2 - h, p.x3)).value) / h**2
-    d33 = (profile(WPoint(p.x2, p.x3 + h)).value - 2 * f0 + profile(WPoint(p.x2, p.x3 - h)).value) / h**2
+    f0 = profile(p)
+    d22 = (profile(WPoint(p.x2 + h, p.x3)) - 2 * f0 + profile(WPoint(p.x2 - h, p.x3))) / h**2
+    d33 = (profile(WPoint(p.x2, p.x3 + h)) - 2 * f0 + profile(WPoint(p.x2, p.x3 - h))) / h**2
     return (-(d22 - d33) / (4 * math.pi) + math.pi * quad_form(p) * f0, 2 * f0)
 
 
@@ -209,4 +212,4 @@ def test_pde_eigenfunctions():
 def test_profiles_decay():
     far = WPoint(6.0, 0.3)
     for profile in (A_profile, B_profile, Bp_profile, Ap_profile):
-        assert abs(profile(far).value) < 1e-40
+        assert abs(profile(far)) < 1e-40
