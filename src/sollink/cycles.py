@@ -63,6 +63,18 @@ def _link_numbers(field: FieldData, ns, ms) -> dict:
     return _link_cells(field, comps, ns, ms)
 
 
+def _mul(field: FieldData, x, y) -> tuple[int, int]:
+    """(x0 + x1*w)*(y0 + y1*w) on int pairs; w^2 = s0*w - n0."""
+    cross = x[1] * y[1]
+    return (x[0] * y[0] - cross * field.n0, x[0] * y[1] + x[1] * y[0] + cross * field.s0)
+
+
+def _unit_ints(field: FieldData) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """eps and (eps - 1)' as int pairs, and N(eps - 1) = 2 - Tr(eps)."""
+    a, b = int(field.eps.a), int(field.eps.b)
+    return (a, b), (a + b * field.s0 - 1, -b), 2 - 2 * a - b * field.s0
+
+
 def _link_cells(field: FieldData, comps: dict, ns, ms) -> dict:
     """_link_numbers from comps, the boundary components of every norm in ns
     and ms, for callers that need the components themselves as well."""
@@ -70,15 +82,10 @@ def _link_cells(field: FieldData, comps: dict, ns, ms) -> dict:
     for k, cs in comps.items():
         reps = [c.cls.rep for c in cs]
         coords[k] = (sum(r.a.numerator for r in reps), sum(r.b.numerator for r in reps))
-    gm1 = field.eps - 1
-    den = int(gm1.norm())
-    # (eps - 1)' = g_a + g_b*w; w^2 = s0*w - n0
-    gc = gm1.conj()
-    g_a, g_b, s0, n0 = int(gc.a), int(gc.b), field.s0, field.n0
+    _, gc, den = _unit_ints(field)
     out = {}
     for n in ns:
-        x_a, x_b = coords[n]
-        p, q = x_a * g_a - x_b * g_b * n0, x_a * g_b + x_b * g_a + x_b * g_b * s0
+        p, q = _mul(field, coords[n], gc)
         for m in ms:
             a, b = coords[m]
             out[n, m] = Fraction(2 * (q * a - p * b), den)
@@ -89,19 +96,23 @@ def link_boundary_closed(field: FieldData, n) -> Fraction:
     """Closed form for m = 1: sum over reduced classes mu of the w-coordinate
     of X = (mu + mu'*eps)/(eps - 1), i.e. 2*X/sqrt(disc).
 
-    Each X must be a rational multiple of sqrt(disc); a nonzero trace raises
-    ConsistencyError.
+    On ints: Y = (mu + mu'*eps)*(eps - 1)' = p + q*w and X = Y/N(eps - 1), so
+    the result is Fraction(sum of q, N(eps - 1)).  Each X must be a rational
+    multiple of sqrt(disc); a nonzero trace 2p + s0*q raises ConsistencyError.
     """
     if not enumerate_norm_classes(field, 1):
         raise ConsistencyError("no norm-1 class; unit bookkeeping is broken")
-    eps = field.eps
-    total = Fraction(0)
+    s0 = field.s0
+    eps, gc, den = _unit_ints(field)
+    total = 0
     for cls in enumerate_norm_classes(field, n):
-        x = (cls.rep + cls.rep.conj() * eps) / (eps - 1)
-        if x.trace() != 0:
+        a, b = cls.rep.a.numerator, cls.rep.b.numerator
+        c = _mul(field, (a + b * s0, -b), eps)  # mu'*eps, with w' = s0 - w
+        p, q = _mul(field, (a + c[0], b + c[1]), gc)
+        if 2 * p + s0 * q:
             raise ConsistencyError(f"closed-form term for {cls.rep!r} is not rational*sqrt(disc)")
-        total += x.b
-    return total
+        total += q
+    return Fraction(total, den)
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,9 @@ _IM_TAU_MIN = 1e-8
 # Cap on |Re tau|: at 1e308 the phase 2*pi*n*tau overflows.  W has period 1
 # in tau, so Re tau can always be reduced mod 1.
 _RE_TAU_MAX = 10**6
+# Cap on Im tau: near 1e307, -pi*v overflows and -inf * 0 at lambda = 0 is nan.
+# Above about 120, |q| is 0.0 and only the lambda = 0 term is left.
+_IM_TAU_MAX = 10**6
 # math.exp(-t) is exactly 0.0 for t above about 745.13; eval_W skips the
 # lattice points whose Gaussian exponent pi*v*(x^2 + y^2) exceeds this cutoff.
 _GAUSS_CUTOFF = 760.0
@@ -196,6 +199,8 @@ class WEvalParams:
             raise InputError(f"tau must lie in the upper half plane, got {self.tau}")
         if self.tau.imag < _IM_TAU_MIN:
             raise InputError(f"Im tau must be at least {_IM_TAU_MIN}, got {self.tau.imag!r}")
+        if self.tau.imag > _IM_TAU_MAX:
+            raise InputError(f"Im tau must be at most {_IM_TAU_MAX}, got {self.tau.imag!r}")
         if abs(self.tau.real) > _RE_TAU_MAX:
             raise InputError(
                 f"|Re tau| must be at most {_RE_TAU_MAX} (W has period 1 in tau, so reduce Re tau mod 1),"

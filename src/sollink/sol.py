@@ -7,6 +7,9 @@ class b in another (or the same, pushed off in the positive s direction) by
 det f = 1, g = (f - I)/(2 - tr f), so the manifold stores only f and the
 integer N_det = 2 - tr f.  The cap construction and its fiber-crossing count
 give an independent route to the same number and are used as the test oracle.
+Caps are built on ints (only an offset may bring in a Fraction), and their
+areas have closed forms: <offset, a> for the parallelogram, the integer
+<gamma0, f^{-1} gamma0> for twice the triangle.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import ConsistencyError, InputError
 from .qfield import FieldData
 
 Vec = tuple[int, int]
-QVec = tuple[Fraction, Fraction]
+QVec = tuple[int | Fraction, int | Fraction]
 IntMat = tuple[tuple[int, int], tuple[int, int]]
 
 
@@ -48,10 +51,11 @@ def _primitive(v: Vec) -> tuple[Vec, int]:
     return (v[0] // g, v[1] // g), g
 
 
-def _int_pair(v, what: str) -> Vec:
-    """A class or a gluing row: exactly two entries, each an int."""
-    if not isinstance(v, (tuple, list)) or len(v) != 2 or not all(isinstance(x, int) for x in v):
-        raise InputError(f"{what} must be two integers, got {v!r}")
+def _int_pair(v, what: str, kinds=int) -> Vec:
+    """A class or a gluing row: exactly two entries, each an int.  An offset
+    passes kinds=(int, Fraction)."""
+    if not isinstance(v, (tuple, list)) or len(v) != 2 or not all(isinstance(x, kinds) for x in v):
+        raise InputError(f"{what} must be two {'integers' if kinds is int else 'ints or Fractions'}, got {v!r}")
     return (v[0], v[1])
 
 
@@ -111,7 +115,7 @@ class CapChain:
     circle_class: Vec
     base_offset: QVec
     parallelogram: tuple[QVec, ...]  # vertex loop, empty for the zero class
-    triangle: tuple[QVec, ...]  # (0, c2, f^{-1} c2), empty for the zero class
+    triangle: tuple[Vec, ...]  # (0, c2, f^{-1} c2), empty for the zero class
     monodromy_class: Vec
     weight: Fraction
     fiber_correction: Fraction
@@ -119,39 +123,35 @@ class CapChain:
 
 
 def _shoelace(vertices) -> Fraction:
-    if len(vertices) < 3:
-        return Fraction(0)
-    total = Fraction(0)
+    total = 0
     for i, v in enumerate(vertices):
         w = vertices[(i + 1) % len(vertices)]
         total += v[0] * w[1] - v[1] * w[0]
-    return total / 2
+    return Fraction(total, 2)
 
 
 def build_cap(m: SolManifold, a, offset=(0, 0)) -> CapChain:
     """Rational 2-chain whose boundary is the class-a circle through `offset`,
-    normalized to have zero area-form period."""
+    normalized to have zero area-form period: fiber_correction is
+    -(<offset, a> + <gamma0, f^{-1} gamma0>/(2*N_det)), one Fraction."""
     a = _int_pair(a, "class a")
-    offset = (Fraction(offset[0]), Fraction(offset[1]))
+    offset = _int_pair(offset, "offset", (int, Fraction))
     weight = Fraction(1, m.n_det)
     if a == (0, 0):  # no parallelogram, triangle or cylinder
         return CapChain(a, offset, (), (), (0, 0), weight, Fraction(0), m.f)
     gamma0 = _gamma0(m, a)
-    c2 = (Fraction(gamma0[0]), Fraction(gamma0[1]))
-    d_vert = _mat_vec(_sl2_inv(m.f), c2)
-    zero = (Fraction(0), Fraction(0))
+    d_vert = _mat_vec(_sl2_inv(m.f), gamma0)
     # oriented so the boundary is (circle through offset) - (circle through 0)
-    quad = (zero, offset, (offset[0] + a[0], offset[1] + a[1]), (Fraction(a[0]), Fraction(a[1])))
-    tri = (zero, c2, d_vert)
-    period = _shoelace(quad) + weight * _shoelace(tri)
+    quad = ((0, 0), offset, (offset[0] + a[0], offset[1] + a[1]), a)
+    two_n = 2 * m.n_det
     return CapChain(
         circle_class=a,
         base_offset=offset,
         parallelogram=quad,
-        triangle=tri,
+        triangle=((0, 0), gamma0, d_vert),
         monodromy_class=gamma0,
         weight=weight,
-        fiber_correction=-period,
+        fiber_correction=Fraction(-(two_n * _det2(offset, a) + _det2(gamma0, d_vert)), two_n),
         f=m.f,
     )
 
@@ -190,13 +190,10 @@ def boundary_cycle(cap: CapChain) -> dict:
         for i, v in enumerate(poly):
             _add_edge(acc, v, poly[(i + 1) % len(poly)], coeff)
     if cap.monodromy_class != (0, 0):
-        # boundary of the cylinder: f^{-1} gamma0 - gamma0, both through 0
-        g0 = cap.monodromy_class
-        zero = (Fraction(0), Fraction(0))
-        tri = cap.triangle
-        d_vert = tri[2]  # f^{-1} gamma0, already computed for the triangle
-        _add_edge(acc, zero, d_vert, cap.weight)
-        _add_edge(acc, (Fraction(g0[0]), Fraction(g0[1])), zero, cap.weight)  # -gamma0
+        # boundary of the cylinder: f^{-1} gamma0 - gamma0, both through 0;
+        # f^{-1} gamma0 is the triangle's last vertex
+        _add_edge(acc, (0, 0), cap.triangle[2], cap.weight)
+        _add_edge(acc, cap.monodromy_class, (0, 0), cap.weight)  # -gamma0
     leftovers = [k for k in acc if k[0] == "seg"]
     if leftovers:
         raise ConsistencyError(f"open boundary segments did not cancel: {leftovers}")
@@ -233,5 +230,6 @@ def cap_intersect(cap: CapChain, m: SolManifold, b, s_b) -> Fraction:
         return Fraction(0)
     u, cu = _primitive(cap.monodromy_class)
     v, cv = _primitive(b)
-    # two primitive geodesics through 0 cross |det| times, each with sign sgn(det)
-    return cap.weight * cu * cv * _det2(u, v)
+    # two primitive geodesics through 0 cross |det| times, each with sign sgn(det);
+    # the cylinder's coefficient is the cap's weight 1/N_det
+    return Fraction(cu * cv * _det2(u, v), m.n_det)

@@ -1,12 +1,15 @@
 """Independent brute-force oracles used to validate the library.
 
 Units come from a per-coefficient Pell scan (no continued fractions), so
-agreement is a real cross-check.  The norm-class enumeration and the beta
-lattice sum are the exact-element routes: every candidate or lattice point is
-a QuadElem, tested, embedded and normed on its own.  The orbit-minimum
-coefficient evaluates every term once per sign, over the library's classes.
-Boundary linking numbers come from the component-pair double sum, and norm
-solutions from an unreduced box search.
+agreement is a real cross-check.  The norm-class enumeration, the m = 1 closed
+form and the beta lattice sum are the exact-element routes: every candidate,
+class or lattice point is a QuadElem, tested, embedded and normed on its own.
+The orbit-minimum coefficient evaluates every term once per sign, over the
+library's classes.  Boundary linking numbers come from the component-pair
+double sum, and norm solutions from an unreduced box search.  Caps come with
+Fraction vertices and shoelace areas, and their crossing count from the
+lattice points of a half-open parallelogram.  Hurwitz class numbers count
+reduced binary quadratic forms, for the Hirzebruch-Zagier identity.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ import cmath
 import math
 from fractions import Fraction
 
+from sollink import sol
 from sollink.cycles import boundary_components
-from sollink.errors import InputError
+from sollink.errors import ConsistencyError, InputError
 from sollink.qfield import FieldData, NormClass, QuadElem, Rat, enumerate_norm_classes
 from sollink.special_fn import beta_scaled
 
@@ -166,4 +170,151 @@ def link_boundary(field: FieldData, n, m) -> Fraction:
         for cm in comps_m:
             term = symplectic_pairing(g_dir, cm.fiber_label)
             total += 2 * cn.multiplicity * cm.multiplicity * term
+    return total
+
+
+def link_boundary_closed_reference(field: FieldData, n) -> Fraction:
+    """cycles.link_boundary_closed with one QuadElem per class: the sum of the
+    w-coordinates of X = (mu + mu'*eps)/(eps - 1), each checked to have trace 0."""
+    if not enumerate_norm_classes(field, 1):
+        raise ConsistencyError("no norm-1 class; unit bookkeeping is broken")
+    eps = field.eps
+    total = Fraction(0)
+    for cls in enumerate_norm_classes(field, n):
+        x = (cls.rep + cls.rep.conj() * eps) / (eps - 1)
+        if x.trace() != 0:
+            raise ConsistencyError(f"closed-form term for {cls.rep!r} is not rational*sqrt(disc)")
+        total += x.b
+    return total
+
+
+def _shoelace(vertices) -> Fraction:
+    if len(vertices) < 3:
+        return Fraction(0)
+    total = Fraction(0)
+    for i, v in enumerate(vertices):
+        w = vertices[(i + 1) % len(vertices)]
+        total += v[0] * w[1] - v[1] * w[0]
+    return total / 2
+
+
+def build_cap_reference(m, a, offset=(0, 0)):
+    """sol.build_cap with Fraction vertices and the fiber correction read off
+    the shoelace areas of the parallelogram and the weighted triangle."""
+    offset = (Fraction(offset[0]), Fraction(offset[1]))
+    weight = Fraction(1, m.n_det)
+    if a == (0, 0):
+        return sol.CapChain(a, offset, (), (), (0, 0), weight, Fraction(0), m.f)
+    fa = (m.f[0][0] * a[0] + m.f[0][1] * a[1], m.f[1][0] * a[0] + m.f[1][1] * a[1])
+    gamma0 = (fa[0] - a[0], fa[1] - a[1])
+    c2 = (Fraction(gamma0[0]), Fraction(gamma0[1]))
+    (p, q), (r, s) = m.f
+    d_vert = (s * c2[0] - q * c2[1], -r * c2[0] + p * c2[1])  # f^{-1} c2
+    zero = (Fraction(0), Fraction(0))
+    quad = (zero, offset, (offset[0] + a[0], offset[1] + a[1]), (Fraction(a[0]), Fraction(a[1])))
+    tri = (zero, c2, d_vert)
+    period = _shoelace(quad) + weight * _shoelace(tri)
+    return sol.CapChain(a, offset, quad, tri, gamma0, weight, -period, m.f)
+
+
+def cap_intersect_reference(cap, b) -> Fraction:
+    """Signed crossings of the cap's monodromy slice (the gamma0 geodesic)
+    with the class-b geodesic, times the cap's weight.
+
+    On the torus the two closed geodesics cross once per point of Z^2 in the
+    half-open parallelogram {t*gamma0 + s*b : 0 <= t, s < 1}, each crossing
+    with the sign of det(gamma0, b); those points are counted one by one.
+    """
+    g = cap.monodromy_class
+    det = g[0] * b[1] - g[1] * b[0]
+    if det == 0:
+        return Fraction(0)
+    sgn = 1 if det > 0 else -1
+    xs, ys = (0, g[0], b[0], g[0] + b[0]), (0, g[1], b[1], g[1] + b[1])
+    count = 0
+    for kx in range(min(xs), max(xs) + 1):
+        for ky in range(min(ys), max(ys) + 1):
+            # k = t*gamma0 + s*b with t = det(k, b)/det and s = det(gamma0, k)/det
+            t_num, s_num = sgn * (kx * b[1] - ky * b[0]), sgn * (g[0] * ky - g[1] * kx)
+            count += 0 <= t_num < abs(det) and 0 <= s_num < abs(det)
+    return cap.weight * sgn * count
+
+
+def quad_sign(p: int, q: int, disc: int) -> int:
+    """Exact sign of p + q*sqrt(disc) for a non-square disc > 0: the sign of
+    p when p^2 > disc*q^2, else the sign of q (equality only at p = q = 0)."""
+    lead = p * p - disc * q * q
+    if lead == 0:
+        return 0
+    lead_term = p if lead > 0 else q
+    return (lead_term > 0) - (lead_term < 0)
+
+
+def reduce_totally_positive_ints(field: FieldData, a: int, b: int) -> tuple[int, int]:
+    """The integer coordinates of a + b*w, totally positive, scaled by powers
+    of eps into 1 <= x/x' < eps^2, on ints.
+
+    x/x' >= 1 iff b >= 0, since x - x' = b*sqrt(disc).  With
+    e = eps^2*x' - x = e_a + e_b*w, x/x' < eps^2 iff e > 0, and
+    2e = (2*e_a + s0*e_b) + e_b*sqrt(disc).
+    """
+    s0, n0, disc = field.s0, field.n0, field.disc
+
+    def mul(x, y):
+        return (x[0] * y[0] - n0 * x[1] * y[1], x[0] * y[1] + x[1] * y[0] + s0 * x[1] * y[1])
+
+    eps = (int(field.eps.a), int(field.eps.b))
+    eps_inv = (eps[0] + s0 * eps[1], -eps[1])  # eps' = 1/eps
+    e2 = mul(eps, eps)
+    x = (a, b)
+    while x[1] < 0:
+        x = mul(x, eps)
+    while True:
+        e = mul(e2, (x[0] + s0 * x[1], -x[1]))
+        if quad_sign(2 * (e[0] - x[0]) + s0 * (e[1] - x[1]), e[1] - x[1], disc) > 0:
+            return x
+        x = mul(x, eps_inv)
+
+
+def kronecker(D: int, k: int) -> int:
+    """Kronecker symbol (D/k) for a discriminant D and an integer k >= 1."""
+    out = 1
+    while k % 2 == 0:
+        k //= 2
+        if D % 2 == 0:
+            return 0
+        out *= 1 if D % 8 in (1, 7) else -1
+    # Jacobi symbol (D/k) for odd k, by quadratic reciprocity
+    a = D % k
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if k % 8 in (3, 5):
+                out = -out
+        a, k = k, a
+        if a % 4 == 3 and k % 4 == 3:
+            out = -out
+        a %= k
+    return out if k == 1 else 0
+
+
+def hurwitz_class_number(N: int) -> Fraction:
+    """H(N): reduced positive definite forms (a, b, c) of discriminant -N, each
+    counted once, except a(x^2 + y^2) with weight 1/2 and a(x^2 + xy + y^2)
+    with weight 1/3.  H(0) = -1/12 and H(N) = 0 unless N = 0, 3 (mod 4)."""
+    if N == 0:
+        return Fraction(-1, 12)
+    total = Fraction(0)
+    b = N % 2
+    while 3 * b * b <= N:  # reduced forms have 3b^2 <= 3a^2 <= 4ac - b^2 = N
+        ac, rem = divmod(b * b + N, 4)
+        a = max(b, 1)
+        while not rem and a * a <= ac:
+            if ac % a == 0:
+                c = ac // a
+                weight = Fraction(1, 2) if (b == 0 and a == c) else Fraction(1, 3) if b == a == c else 1
+                # -b is a different reduced form unless b = 0, b = a or a = c
+                total += weight * (1 if b in (0, a) or a == c else 2)
+            a += 1
+        b += 2
     return total

@@ -39,7 +39,7 @@ from sollink import (
 from sollink.qfield import is_squarefree
 from sollink.selftest import _random_class, _random_hyperbolic
 from conftest import field
-from oracles import brute_force_norm_solutions, link_boundary, pell_units
+from oracles import brute_force_norm_solutions, link_boundary, pell_units, reduce_totally_positive_ints
 from test_special_fn import beta_quad
 
 
@@ -126,13 +126,10 @@ def test_criterion_06_norm_class_enumeration():
         buckets = {n: set() for n in range(1, 51)}
         for a in range(-bound, bound + 1):
             for b in range(-bound, bound + 1):
-                x = f.element(a, b)
-                if not (a or b) or not x.is_totally_positive():
-                    continue
-                n = x.norm()
-                if n.denominator == 1 and 1 <= n <= 50:
-                    r = reduce_totally_positive(f, x)
-                    buckets[int(n)].add((r.a, r.b))
+                # a + b*w is totally positive iff its trace and its norm are positive
+                n = a * a + f.s0 * a * b + f.n0 * b * b
+                if 2 * a + f.s0 * b > 0 and 1 <= n <= 50:
+                    buckets[n].add(reduce_totally_positive_ints(f, a, b))
         for n in range(1, 51):
             enumerated = {(c.rep.a, c.rep.b) for c in enumerate_norm_classes(f, n)}
             assert enumerated == buckets[n], f"d={d} n={n}"

@@ -233,6 +233,7 @@ BAD_TAU = {
     "1+infi": "tau must be finite",
     "-0.5+1e-320i": "Im tau must be at least 1e-08",
     "0+1e-17i": "Im tau must be at least 1e-08",
+    "0.0+1e308i": "Im tau must be at most 1000000",
     "1e308+1i": "|Re tau| must be at most 1000000 (W has period 1 in tau, so reduce Re tau mod 1)",
     "-1e7+1i": "|Re tau| must be at most 1000000 (W has period 1 in tau, so reduce Re tau mod 1)",
 }

@@ -15,7 +15,14 @@ from sollink import (
     make_sol,
 )
 from conftest import field
-from oracles import enumerate_norm_classes_reference, link_boundary, symplectic_pairing
+from oracles import (
+    enumerate_norm_classes_reference,
+    hurwitz_class_number,
+    kronecker,
+    link_boundary,
+    link_boundary_closed_reference,
+    symplectic_pairing,
+)
 
 
 def test_multiplicity(field5):
@@ -90,6 +97,50 @@ def test_link_boundary_closed_matches(field5, field13):
     for f in (field5, field13):
         for n in range(1, 16):
             assert link_boundary_closed(f, n) == link_boundary(f, n, 1)
+
+
+@pytest.mark.parametrize("d, nmax", [(2, 60), (3, 60), (5, 60), (13, 60), (17, 60), (21, 60), (46, 60), (94, 6)])
+def test_link_boundary_closed_matches_reference(d, nmax):
+    # the int closed form against one QuadElem division per class
+    f = field(d)
+    for n in range(1, nmax + 1):
+        value = link_boundary_closed(f, n)
+        assert type(value) is Fraction
+        assert value == link_boundary_closed_reference(f, n), (d, n)
+
+
+def test_hurwitz_class_numbers_and_kronecker():
+    known = {0: Fraction(-1, 12), 1: 0, 2: 0, 3: Fraction(1, 3), 4: Fraction(1, 2), 7: 1, 8: 1, 11: 1,
+             12: Fraction(4, 3), 15: 2, 16: Fraction(3, 2), 20: 2, 23: 3, 24: 2, 27: Fraction(4, 3), 28: 2}
+    assert {N: hurwitz_class_number(N) for N in known} == known
+    # (D/p) for an odd prime p is Euler's criterion D^((p-1)/2) mod p
+    for D in (5, 8, 13, 17):
+        for p in (3, 5, 7, 11, 13, 17, 19, 23):
+            euler = pow(D, (p - 1) // 2, p)
+            assert kronecker(D, p) == {0: 0, 1: 1, p - 1: -1}[euler]
+        assert kronecker(D, 2) == (0 if D % 2 == 0 else 1 if D % 8 in (1, 7) else -1)
+
+
+# D = disc, its field's d, and c_D = 72*zeta_K(-1)
+HZ_CASES = [(5, 5, Fraction(12, 5)), (8, 2, Fraction(6)), (13, 13, Fraction(12)), (17, 17, Fraction(24))]
+
+
+@pytest.mark.parametrize("D, d, c_D", HZ_CASES, ids=[f"D={c[0]}" for c in HZ_CASES])
+def test_closed_form_satisfies_hirzebruch_zagier(D, d, c_D):
+    # H_D(4n) + Lk(n, 1)/2 is the n-th coefficient of the weight-2 Eisenstein
+    # series for Gamma0(D) with character chi_D: an oracle with no unit and no
+    # norm-class enumeration (Hirzebruch-Zagier, Invent. Math. 36, 1976)
+    f = field(d)
+    assert f.disc == D
+    for n in range(1, 201):
+        h_d = sum(
+            hurwitz_class_number((4 * n - x * x) // D)
+            for x in range(-2 * n, 2 * n + 1)
+            if x * x <= 4 * n and (4 * n - x * x) % D == 0
+        )
+        divisors = [k for k in range(1, n + 1) if n % k == 0]
+        eisenstein = sum(k * (kronecker(D, k) + kronecker(D, n // k)) for k in divisors)
+        assert h_d + link_boundary_closed(f, n) / 2 == eisenstein / c_D, n
 
 
 def test_link_boundary_empty_cycle(field5):

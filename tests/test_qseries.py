@@ -202,6 +202,10 @@ def test_eval_params_validation():
         with pytest.raises(InputError, match="Im tau must be at least 1e-08"):
             WEvalParams(tau=complex(-0.5, tiny))
     assert WEvalParams(tau=1e-8j).tau == 1e-8j
+    for huge in (1e6 + 1, 1e307, 1e308):
+        with pytest.raises(InputError, match="Im tau must be at most 1000000"):
+            WEvalParams(tau=complex(0, huge))
+    assert WEvalParams(tau=1e6j).tau == 1e6j
     for far in (1e6 + 1, -1e7, 1e308):
         with pytest.raises(InputError, match=r"\|Re tau\| must be at most 1000000 \(W has period 1"):
             WEvalParams(tau=complex(far, 1))

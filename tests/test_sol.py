@@ -20,6 +20,7 @@ from sollink import (
 )
 from sollink.selftest import _random_class, _random_hyperbolic
 from conftest import field
+from oracles import build_cap_reference, cap_intersect_reference
 
 F_EXAMPLE = ((2, 1), (1, 1))
 
@@ -93,6 +94,38 @@ def test_sol_classes_must_be_int_pairs(bad):
         build_cap(m, bad)
     with pytest.raises(InputError):
         cap_intersect(cap, m, bad, Fraction(1, 3))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(1, 2, 3), (1,), 5, None, ("x", 0), (0.1, 0), (Fraction(1, 2), 1.0), {0: 1, 1: 2}],
+    ids=["three-entries", "one-entry", "scalar", "none", "string", "float", "fraction-and-float", "dict"],
+)
+def test_build_cap_rejects_malformed_offset(bad):
+    m = make_sol(F_EXAMPLE)
+    with pytest.raises(InputError, match="offset must be two ints or Fractions"):
+        build_cap(m, (1, 0), offset=bad)
+    with pytest.raises(InputError):
+        build_cap(m, (0, 0), offset=bad)
+
+
+def test_cap_matches_fraction_reference():
+    # fields against Fraction vertices and shoelace areas, the crossing count
+    # against the lattice points of the half-open parallelogram
+    rng = random.Random(31)
+    for i in range(300):
+        m = _random_hyperbolic(rng)
+        a = (0, 0) if i % 25 == 0 else _random_class(rng, -7, 7)
+        off = (Fraction(rng.randint(-9, 9), rng.randint(1, 8)), Fraction(rng.randint(-9, 9), rng.randint(1, 8)))
+        if i % 3 == 0:
+            off = (rng.randint(-3, 3), rng.randint(-3, 3))
+        cap, ref = build_cap(m, a, off), build_cap_reference(m, a, off)
+        assert cap == ref, (m.f, a, off)
+        assert type(cap.fiber_correction) is Fraction
+        b = _random_class(rng, -7, 7)
+        counted = cap_intersect(cap, m, b, Fraction(1, 3))
+        assert type(counted) is Fraction
+        assert counted == cap_intersect_reference(ref, b) == link_fiber(m, a, b), (m.f, a, b)
 
 
 def test_cap_example_structure():
