@@ -42,8 +42,10 @@ def _parse_ints(text: str, count: int, flag: str) -> tuple:
         raise InputError(f"{flag} needs integers, got {text!r}") from None
 
 
-# A-priori work caps.  Norm n costs _scan_length(field, n) steps of the b-scan
-# in enumerate_norm_classes, about 280 ns each, so the budget is about 8 s.
+# A-priori work caps.  Norm n counts _scan_length(field, n), the length of the
+# b range in enumerate_norm_classes; at about 280 ns per b the budget is about
+# 8 s.  The residue wheel visits only part of that range, so the count is an
+# upper bound; it is kept as it is so that no exit code moves.
 # lk-table renders one line per cell.
 _SCAN_BUDGET = 3 * 10**7
 _CELLS_MAX = 10**6

@@ -13,6 +13,7 @@ tests/oracles.link_boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +93,14 @@ def _link_cells(field: FieldData, comps: dict, ns, ms) -> dict:
     return out
 
 
+@functools.cache
+def _check_norm_one(field: FieldData) -> None:
+    """ConsistencyError when the field has no norm-1 class.  A pass is cached
+    per field, so the n = 1 scan runs once, not on every closed-form call."""
+    if not enumerate_norm_classes(field, 1):
+        raise ConsistencyError("no norm-1 class; unit bookkeeping is broken")
+
+
 def link_boundary_closed(field: FieldData, n) -> Fraction:
     """Closed form for m = 1: sum over reduced classes mu of the w-coordinate
     of X = (mu + mu'*eps)/(eps - 1), i.e. 2*X/sqrt(disc).
@@ -100,8 +109,7 @@ def link_boundary_closed(field: FieldData, n) -> Fraction:
     the result is Fraction(sum of q, N(eps - 1)).  Each X must be a rational
     multiple of sqrt(disc); a nonzero trace 2p + s0*q raises ConsistencyError.
     """
-    if not enumerate_norm_classes(field, 1):
-        raise ConsistencyError("no norm-1 class; unit bookkeeping is broken")
+    _check_norm_one(field)
     s0 = field.s0
     eps, gc, den = _unit_ints(field)
     total = 0

@@ -320,9 +320,38 @@ def reduce_totally_positive(field: FieldData, x: QuadElem) -> QuadElem:
 
 
 def _scan_length(field: FieldData, n: int) -> int:
-    """Steps of the b-scan in enumerate_norm_classes for the integer n >= 1:
-    b_max + 1 with b_max = isqrt(n*(Tr(eps^2) - 2)/disc)."""
+    """Length of the b range in enumerate_norm_classes for the integer n >= 1,
+    an upper bound on the b it visits: b_max + 1 with
+    b_max = isqrt(n*(Tr(eps^2) - 2)/disc)."""
     return math.isqrt(n * (field.eps_sq[0] - 2) // field.disc) + 1
+
+
+# Prime powers the wheel folds in, in this order, and the squares mod each.
+_WHEEL_MODULI = (64, 9, 5, 7, 11, 13, 17)
+_SQUARES = {q: frozenset(x * x % q for x in range(q)) for q in _WHEEL_MODULI}
+# No wheel holds more residues than this.
+_WHEEL_MAX = 1 << 16
+
+
+def _wheel(disc: int, n4: int, length: int) -> tuple[list[int], int]:
+    """(residues, M): the b mod M for which disc*b^2 + n4 is a square modulo
+    every factor q of M.
+
+    Factors fold in while the scan has at least 4*M*q steps, so a short scan
+    keeps the plain wheel ([0], 1), and while the list stays within _WHEEL_MAX.
+    """
+    residues, m = [0], 1
+    for q in _WHEEL_MODULI:
+        if 4 * m * q > length:
+            break
+        ok = [s for s in range(q) if (disc * s * s + n4) % q in _SQUARES[q]]
+        if len(residues) * len(ok) > _WHEEL_MAX:
+            break
+        # CRT: x = r mod m and x = s mod q give x = r + m*((s - r)/m mod q)
+        inv = pow(m, -1, q)
+        residues = [r + m * ((s - r) * inv % q) for r in residues for s in ok]
+        m *= q
+    return residues, m
 
 
 def enumerate_norm_classes(field: FieldData, n: Rat) -> list[NormClass]:
@@ -339,6 +368,13 @@ def enumerate_norm_classes(field: FieldData, n: Rat) -> list[NormClass]:
       4*(eps^2*x' - x) = P + Q*sqrt(disc) > 0, where P = T*t - U*b*disc - 2t
       and Q = U*t - T*b - 2b; its sign is decided exactly on integers.
       b >= 0 gives the other bound x >= x'.
+
+    The scan is sieved by a residue wheel (_wheel): it visits only the b whose
+    class mod M makes disc*b^2 + 4n a square modulo each prime power factor of
+    M, for M dividing 64*9*5*7*11*13*17.  A perfect square is a square modulo
+    every q, so no b the plain scan accepts is skipped, and the output is the
+    same.  Factors fold in only while the scan is at least 4*M*q long, so short
+    scans run unsieved, and the residue list is capped at _WHEEL_MAX entries.
     """
     n = Fraction(n)
     if n <= 0:
@@ -349,16 +385,19 @@ def enumerate_norm_classes(field: FieldData, n: Rat) -> list[NormClass]:
     disc, s0 = field.disc, field.s0
     big_t, big_u = field.eps_sq
     n4 = 4 * n
+    length = _scan_length(field, n)
+    residues, step = _wheel(disc, n4, length)
     coords = []
-    for b in range(_scan_length(field, n)):
-        t_sq = disc * b * b + n4
-        t = math.isqrt(t_sq)
-        if t * t != t_sq or (t - s0 * b) % 2:
-            continue
-        # exclude the ratio eps^2 itself: the domain is half open
-        if _sign(big_t * t - big_u * b * disc - 2 * t, big_u * t - big_t * b - 2 * b, disc) <= 0:
-            continue
-        coords.append(((t - s0 * b) // 2, b))
+    for r in residues:
+        for b in range(r, length, step):
+            t_sq = disc * b * b + n4
+            t = math.isqrt(t_sq)
+            if t * t != t_sq or (t - s0 * b) % 2:
+                continue
+            # exclude the ratio eps^2 itself: the domain is half open
+            if _sign(big_t * t - big_u * b * disc - 2 * t, big_u * t - big_t * b - 2 * b, disc) <= 0:
+                continue
+            coords.append(((t - s0 * b) // 2, b))
     coords.sort()
     return [NormClass(rep=field.element(a, b)) for a, b in coords]
 

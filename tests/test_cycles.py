@@ -14,6 +14,7 @@ from sollink import (
     link_table,
     make_sol,
 )
+from sollink import cycles
 from conftest import field
 from oracles import (
     enumerate_norm_classes_reference,
@@ -147,6 +148,19 @@ def test_link_boundary_empty_cycle(field5):
     assert link_boundary(field5, 2, 1) == 0
     assert link_boundary(field5, 1, 3) == 0
     assert link_boundary_closed(field5, 7) == 0
+
+
+def test_closed_form_rejects_a_field_without_norm_one_class(monkeypatch):
+    # the norm-1 check is cached per field: clear it so it runs on the stub
+    f = field(13)
+    link_boundary_closed(f, 1)
+    monkeypatch.setattr(cycles, "enumerate_norm_classes", lambda field, n: [])
+    cycles._check_norm_one.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="no norm-1 class"):
+            link_boundary_closed(f, 3)
+    finally:
+        cycles._check_norm_one.cache_clear()
 
 
 def test_link_boundary_rejects(field5):

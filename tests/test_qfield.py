@@ -1,19 +1,22 @@
 """Field arithmetic, units, and norm-class enumeration against brute force."""
 
+import math
 import operator
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sollink import (
     InputError,
+    NormClass,
     enumerate_norm_classes,
     is_squarefree,
     make_field,
     reduce_totally_positive,
 )
+from sollink.qfield import _WHEEL_MODULI, _wheel
 from conftest import field
 from oracles import brute_force_norm_solutions, enumerate_norm_classes_reference, pell_units
 
@@ -146,18 +149,76 @@ def test_eps_sq_coordinates(d):
     assert f.element(Fraction(big_t - f.s0 * big_u, 2), big_u) == f.eps * f.eps
 
 
-# d=94 scans 2.2e5 values of b at n=1 and 1.7e6 at n=60 on each route, so it
-# takes a few norms: empty, two classes, and the squares 4 and 9
+# The reference scans every b: 2.2e5 of them at d=94, n=1 and 1.7e6 at n=60,
+# so the large-unit fields take a few norms: at d=94 empty, two classes and
+# the squares 4 and 9; at the others (n=1 scans 1.1e5-3.3e5) n = 1 and 8
 @pytest.mark.parametrize(
     "d, ns",
     [pytest.param(d, range(1, 61), id=str(d)) for d in (2, 3, 5, 13, 17, 21, 46)]
-    + [pytest.param(94, (1, 2, 3, 4, 5, 9), id="94")],
+    + [pytest.param(94, (1, 2, 3, 4, 5, 9), id="94")]
+    + [pytest.param(d, (1, 8), id=str(d)) for d in (89, 113, 179, 251, 389)],
 )
 def test_enumeration_matches_fraction_reference(d, ns):
     f = field(d)
     for n in ns:
         got, want = enumerate_norm_classes(f, n), enumerate_norm_classes_reference(f, n)
         assert got == want and repr(got) == repr(want), f"d={d} n={n}"
+
+
+def test_d151_norm_one_is_the_unit_class():
+    # the totally positive units are the powers of eps, and 1 is the only one
+    # in the domain; the b range has 1.4e8 values, the wheel visits about 2e6
+    f = field(151)
+    start = time.perf_counter()
+    assert enumerate_norm_classes(f, 1) == [NormClass(rep=f.one)]
+    assert time.perf_counter() - start < 10
+
+
+@st.composite
+def norm_solutions(draw):
+    """(d, b, t) with b >= 0 and t^2 = disc*b^2 + 4n for an integer n >= 1."""
+    d = draw(st.sampled_from([2, 3, 5, 13, 46, 94, 151, 389]))
+    disc = field(d).disc
+    b = draw(st.integers(min_value=0, max_value=10**6))
+    # disc = 0 or 1 mod 4, so t^2 = disc*b^2 mod 4 iff t = disc*b mod 2
+    t = math.isqrt(disc * b * b) + 1
+    t += (t - disc * b) % 2 + 2 * draw(st.integers(min_value=0, max_value=10**4))
+    return d, b, t
+
+
+# explicit n divisible by each wheel modulus (with b prime to it where one
+# exists), and n sharing a prime with disc
+@given(norm_solutions())
+@example((5, 4, 12))  # n = 16
+@example((94, 4, 80))  # n = 96
+@example((13, 1, 7))  # n = 9
+@example((94, 1, 22))  # n = 27
+@example((5, 1, 5))  # n = 5
+@example((389, 1, 23))  # n = 35
+@example((2, 1, 6))  # n = 7
+@example((151, 1, 32))  # n = 105
+@example((3, 1, 10))  # n = 22
+@example((389, 1, 31))  # n = 143
+@example((389, 1, 21))  # n = 13
+@example((94, 1, 34))  # n = 195
+@example((13, 1, 9))  # n = 17
+@example((151, 1, 48))  # n = 425
+@example((2, 1, 4))  # n = 2, disc = 8
+@example((46, 1, 46))  # n = 483 = 3*7*23, disc = 8*23
+@example((151, 1, 302))  # n = 22650 = 2*3*5^2*151, disc = 4*151
+@example((389, 1, 389))  # n = 37733 = 97*389, disc = 389
+@settings(max_examples=40, deadline=None)
+def test_wheel_keeps_every_solution(sol):
+    d, b, t = sol
+    disc = field(d).disc
+    n4 = t * t - disc * b * b
+    assert n4 > 0 and n4 % 4 == 0
+    # the wheel depends on the length only through how many factors fold in,
+    # which changes at 4 times each prefix product of the moduli
+    prefixes = [math.prod(_WHEEL_MODULI[:k]) for k in range(len(_WHEEL_MODULI) + 1)]
+    for length in {max(b + 1, 4 * m) for m in prefixes}:
+        residues, m = _wheel(disc, n4, length)
+        assert b % m in set(residues), (d, n4 // 4, b, length)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 13, 17, 21, 46])
