@@ -85,11 +85,19 @@ def _link_cells(field: FieldData, comps: dict, ns, ms) -> dict:
         coords[k] = (sum(r.a.numerator for r in reps), sum(r.b.numerator for r in reps))
     _, gc, den = _unit_ints(field)
     out = {}
+    # every cell has the denominator den, so its numerator fixes its value; a
+    # norm without classes zeroes a whole row and column, so few values repeat
+    # over many cells and each distinct one is built once per call
+    values = {}
     for n in ns:
         p, q = _mul(field, coords[n], gc)
         for m in ms:
             a, b = coords[m]
-            out[n, m] = Fraction(2 * (q * a - p * b), den)
+            num = 2 * (q * a - p * b)
+            value = values.get(num)
+            if value is None:
+                value = values[num] = Fraction(num, den)
+            out[n, m] = value
     return out
 
 
@@ -131,10 +139,18 @@ class LinkTable:
     entries: dict  # (n, m) -> Fraction
 
 
+def _check_index(name: str, value) -> None:
+    """InputError unless value is an int >= 1; bool is not an index, and a
+    float such as 2.0 is not one either."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise InputError(f"{name} must be >= 1, got {value}")
+
+
 def link_table(field: FieldData, nmax: int) -> LinkTable:
     """All pairwise boundary linking numbers for n, m <= nmax."""
-    if nmax < 1:
-        raise InputError(f"nmax must be >= 1, got {nmax}")
+    _check_index("nmax", nmax)
     ks = range(1, nmax + 1)
     n_det = _sol.glueing_from_unit(field).n_det
     return LinkTable(d=field.d, nmax=nmax, n_det=n_det, entries=_link_numbers(field, ks, ks))

@@ -354,9 +354,20 @@ def _wheel(disc: int, n4: int, length: int) -> tuple[list[int], int]:
     return residues, m
 
 
+def _check_norm(n) -> None:
+    """InputError unless n is an int or a Fraction; bool is not a norm, and a
+    float or a string is not exact."""
+    if isinstance(n, bool) or not isinstance(n, (int, Fraction)):
+        raise InputError(f"norm must be an int or a Fraction, got {n!r}")
+
+
 def enumerate_norm_classes(field: FieldData, n: Rat) -> list[NormClass]:
     """All classes of totally positive integers of norm n, one reduced
     representative each, sorted by coordinates.
+
+    n is an int or a Fraction (anything else, bool included, raises
+    InputError); a Fraction that is not an integer has no classes, and an int
+    goes to the scan without a Fraction round trip.
 
     A representative x = a + b*w = (t + b*sqrt(disc))/2 in the domain has
     trace t and t^2 = disc*b^2 + 4n with 0 <= b <= sqrt(n*(Tr(eps^2) - 2)/disc),
@@ -376,12 +387,13 @@ def enumerate_norm_classes(field: FieldData, n: Rat) -> list[NormClass]:
     same.  Factors fold in only while the scan is at least 4*M*q long, so short
     scans run unsieved, and the residue list is capped at _WHEEL_MAX entries.
     """
-    n = Fraction(n)
+    _check_norm(n)
     if n <= 0:
         raise InputError(f"norm must be positive, got {n}")
-    if n.denominator != 1:
-        return []
-    n = int(n)
+    if type(n) is not int:
+        if n.denominator != 1:
+            return []
+        n = int(n)
     disc, s0 = field.disc, field.s0
     big_t, big_u = field.eps_sq
     n4 = 4 * n

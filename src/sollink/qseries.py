@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .qfield import FieldData, enumerate_norm_classes
-from .cycles import _link_cells, _link_numbers, boundary_components
+from .qfield import FieldData, _check_norm, enumerate_norm_classes
+from .cycles import _check_index, _link_cells, _link_numbers, boundary_components
 from .special_fn import beta_scaled
 
 
@@ -67,10 +67,8 @@ class QExpansion:
 def lk_qexpansion(field: FieldData, m: int, nmax: int) -> QExpansion:
     """Boundary linking numbers Lk(C_n, C_m) for n = 1..nmax as a weight-2
     rational q-expansion in the first index."""
-    if m < 1:
-        raise InputError(f"m must be >= 1, got {m}")
-    if nmax < 1:
-        raise InputError(f"nmax must be >= 1, got {nmax}")
+    _check_index("m", m)
+    _check_index("nmax", nmax)
     column = _link_numbers(field, range(1, nmax + 1), (m,))
     coeffs = {n: column[n, m] for n in range(1, nmax + 1)}
     return QExpansion(d=field.d, m=m, weight=2, nmax=nmax, coeffs=coeffs)
@@ -87,6 +85,7 @@ def min_series_coeff(field: FieldData, n: int, k_range: int) -> float:
     once per class and added for both signs.  Summation order is classes,
     then signs, then k ascending, so the float result is deterministic.
     """
+    _check_norm(n)
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     _check_k_range(k_range)
@@ -128,8 +127,7 @@ def holomorphic_ratio_test(field: FieldData, nmax: int, k_range: int) -> RatioRe
     The ratio is one constant for every n (and every field); this function
     measures it rather than asserting a value.
     """
-    if nmax < 1:
-        raise InputError(f"nmax must be >= 1, got {nmax}")
+    _check_index("nmax", nmax)
     _check_k_range(k_range)
     ratios = {}
     omitted, inconsistent = [], []
@@ -350,14 +348,21 @@ class InteriorTable:
 
 
 def combine_interior(table: InteriorTable, field: FieldData, nmax: int) -> QExpansion:
-    """Subtract the boundary linking correction from supplied interior numbers:
+    """Subtract the boundary linking numbers from supplied interior numbers:
     coefficient(n) = interior(n, m) - Lk(C_n, C_m) for n = 1..nmax.
+
+    Lk is this library's linking number, which is -2 times the paper's
+    boundary term.  So the combination that is modular is not this
+    difference: at m = 1 it is H_D(4n) + Lk(n, 1)/2, with H_D(4n) the
+    class-number part of the Hirzebruch-Zagier interior numbers, and
+    tests/test_cycles.py::test_closed_form_satisfies_hirzebruch_zagier pins
+    it as an Eisenstein series at D in {5, 8, 13, 17}.
 
     Every n in range must be present in the table; all gaps are reported in
     one InputError.
     """
-    if nmax < 1:
-        raise InputError(f"nmax must be >= 1, got {nmax}")
+    _check_index("m", table.m)
+    _check_index("nmax", nmax)
     missing = [n for n in range(1, nmax + 1) if n not in table.entries]
     if missing:
         raise InputError(f"interior table is missing n = {', '.join(map(str, missing))}")

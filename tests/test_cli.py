@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -199,6 +200,20 @@ GOLDEN_STDOUT = {
 @pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT))
 def test_golden_stdout(capsys, argv):
     assert run(capsys, *argv.split()) == (0, GOLDEN_STDOUT[argv], "")
+
+
+# sha256 of stdout: every byte of two tables large enough that most cells share a value
+LK_TABLE_SHA256 = {
+    "lk-table --d 5 --nmax 100 --format csv": "6d27a5afc942f04bf400d2449e6611af424fe14244308035830f11207572939e",
+    "lk-table --d 17 --nmax 60 --format csv": "7318bba2b5b4c22e7d62111d8f83dea6e8bc8f5a46cdfc326e22d8e65877c732",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LK_TABLE_SHA256))
+def test_lk_table_csv_sha256(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LK_TABLE_SHA256[argv]
 
 
 def test_csv_rejected_elsewhere(capsys):

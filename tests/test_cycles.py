@@ -194,6 +194,30 @@ def test_link_table_matches_pointwise(d):
         assert value == link_boundary(f, n, m)
 
 
+def test_link_table_d17_cells():
+    # the cells share one Fraction per distinct value; each must still be the
+    # double sum, a Fraction, and in row-major order
+    f = field(17)
+    t = link_table(f, 40)
+    assert list(t.entries) == [(n, m) for n in range(1, 41) for m in range(1, 41)]
+    for (n, m), value in t.entries.items():
+        assert type(value) is Fraction
+        assert value == link_boundary(f, n, m), (n, m)
+
+
+@pytest.mark.parametrize("bad", ["4", float("nan"), 2.5])
+def test_norm_consumers_reject_inexact_norms(field5, bad):
+    for call in (boundary_components, link_boundary_closed):
+        with pytest.raises(InputError, match="^norm must be an int or a Fraction"):
+            call(field5, bad)
+
+
+@pytest.mark.parametrize("bad", [2.0, 1.5, True, "3", None])
+def test_link_table_rejects_non_int_nmax(field5, bad):
+    with pytest.raises(InputError, match="^nmax must be an int, got "):
+        link_table(field5, bad)
+
+
 def test_matches_sol_model(field5):
     # dividing by eps - 1 in the field and pairing symplectically agrees with
     # the torus-bundle computation once a + b*w is written as the fiber class

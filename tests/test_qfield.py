@@ -108,6 +108,23 @@ def test_norm_classes_d5():
         enumerate_norm_classes(f, -3)
 
 
+# none of these is an exact norm: a string must not be parsed, and a float
+# must not be rounded or compared
+@pytest.mark.parametrize("bad", ["4", float("nan"), 2.5, 4.0, True, None])
+def test_enumeration_rejects_inexact_norms(bad):
+    with pytest.raises(InputError, match="^norm must be an int or a Fraction, got "):
+        enumerate_norm_classes(field(5), bad)
+
+
+def test_enumeration_takes_int_and_fraction_norms():
+    f = field(13)
+    for n in range(1, 30):
+        assert enumerate_norm_classes(f, Fraction(n)) == enumerate_norm_classes(f, n)
+    assert enumerate_norm_classes(f, Fraction(9, 4)) == []
+    with pytest.raises(InputError, match="^norm must be positive, got -1/2$"):
+        enumerate_norm_classes(f, Fraction(-1, 2))
+
+
 def test_brute_force_box_d5(field5):
     ones = brute_force_norm_solutions(field5, 1, 20)
     coords = {(x.a, x.b) for x in ones}

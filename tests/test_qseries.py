@@ -46,6 +46,33 @@ def test_min_series_rejects(field5):
         min_series_coeff(field5, 1, 0)
 
 
+@pytest.mark.parametrize("bad", ["4", float("nan"), 2.5])
+def test_min_series_rejects_inexact_norms(field5, bad):
+    with pytest.raises(InputError, match="^norm must be an int or a Fraction"):
+        min_series_coeff(field5, bad, 40)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "3", None])
+def test_series_functions_reject_non_int_indices(field5, bad):
+    # a float m matches no norm, so it would give all-zero coefficients
+    table = InteriorTable(m=1, entries={n: Fraction(n) for n in range(1, 4)})
+    calls = {
+        "m": [
+            lambda: lk_qexpansion(field5, bad, 3),
+            lambda: combine_interior(InteriorTable(m=bad, entries=table.entries), field5, 3),
+        ],
+        "nmax": [
+            lambda: lk_qexpansion(field5, 1, bad),
+            lambda: holomorphic_ratio_test(field5, bad, 40),
+            lambda: combine_interior(table, field5, bad),
+        ],
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(InputError, match=f"^{name} must be an int, got "):
+                fn()
+
+
 @pytest.mark.parametrize("d", [2, 5, 13, 94])
 def test_min_series_matches_reference(monkeypatch, d):
     # one enumeration per norm for both routes: d = 94 scans about 3 s per pass
