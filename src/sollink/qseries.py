@@ -11,6 +11,7 @@ appear only in the analytic layer.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -174,11 +175,13 @@ _IM_TAU_MAX = 10**6
 # math.exp(-t) is exactly 0.0 for t above about 745.13; eval_W skips the
 # lattice points whose Gaussian exponent pi*v*(x^2 + y^2) exceeds this cutoff.
 _GAUSS_CUTOFF = 760.0
+# Entries kept by _holomorphic_coeffs, one per (field, k_range, n_cut); each
+# holds n_cut floats.
+_HOLO_CACHE_SIZE = 32
 
 
 def _check_k_range(k_range: int) -> None:
-    if k_range < 1:
-        raise InputError(f"k_range must be >= 1, got {k_range}")
+    _check_index("k_range", k_range)
     if k_range > _K_RANGE_MAX:
         raise InputError(f"k_range must be at most {_K_RANGE_MAX}, got {k_range}")
 
@@ -205,12 +208,17 @@ class WEvalParams:
                 f" got {self.tau.real!r}"
             )
         _check_k_range(self.k_range)
-        if self.box < 1:
-            raise InputError(f"box must be >= 1, got {self.box}")
+        _check_index("box", self.box)
         if self.box > _BOX_MAX:
             raise InputError(f"box must be at most {_BOX_MAX}, got {self.box}")
-        if self.n_cut < 1:
-            raise InputError(f"n_cut must be >= 1, got {self.n_cut}")
+        _check_index("n_cut", self.n_cut)
+
+
+@functools.lru_cache(maxsize=_HOLO_CACHE_SIZE)
+def _holomorphic_coeffs(field: FieldData, k_range: int, n_cut: int) -> tuple:
+    """min_series_coeff(field, n, k_range) for n = 1..n_cut.  They do not
+    depend on tau, so eval_W at many tau on one field computes them once."""
+    return tuple(min_series_coeff(field, n, k_range) for n in range(1, n_cut + 1))
 
 
 @dataclass(frozen=True)
@@ -239,6 +247,12 @@ def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
     plain ints and floats.  Tail fields are heuristic upper estimates from the
     last ring of each truncation.
 
+    The holomorphic coefficients depend on (field, k_range, n_cut) but not on
+    tau, so they are computed once per key and kept in a bounded LRU cache
+    (_HOLO_CACHE_SIZE entries).  A cached coefficient is the float the same
+    min_series_coeff call returns, so the report is bit-identical, warm or
+    cold.
+
     Only the points with pi*v*(lambda^2+lambda'^2) <= _GAUSS_CUTOFF = 760 are
     visited, so the cost is about the number of points in that ellipse,
     O(1/v), and does not grow with the box once the box covers it.  Every
@@ -253,8 +267,7 @@ def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
 
     holo = 0.0j
     max_coeff = 0.0
-    for n in range(1, params.n_cut + 1):
-        c = min_series_coeff(field, n, params.k_range)
+    for n, c in enumerate(_holomorphic_coeffs(field, params.k_range, params.n_cut), start=1):
         max_coeff = max(max_coeff, abs(c))
         holo += c * cmath.exp(2j * math.pi * n * tau)
     # geometric tail with a factor-4 margin for slow coefficient growth

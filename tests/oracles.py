@@ -5,11 +5,12 @@ agreement is a real cross-check.  The norm-class enumeration, the m = 1 closed
 form and the beta lattice sum are the exact-element routes: every candidate,
 class or lattice point is a QuadElem, tested, embedded and normed on its own.
 The orbit-minimum coefficient evaluates every term once per sign, over the
-library's classes.  Boundary linking numbers come from the component-pair
-double sum, and norm solutions from an unreduced box search.  Caps come with
-Fraction vertices and shoelace areas, and their crossing count from the
-lattice points of a half-open parallelogram.  Hurwitz class numbers count
-reduced binary quadratic forms, for the Hirzebruch-Zagier identity.
+library's classes, and eval_W's holomorphic half recomputes it per call.
+Boundary linking numbers come from the component-pair double sum, and norm
+solutions from an unreduced box search.  Caps come with Fraction vertices and
+shoelace areas, and their crossing count from the lattice points of a
+half-open parallelogram.  Hurwitz class numbers count reduced binary quadratic
+forms, for the Hirzebruch-Zagier identity and series.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from fractions import Fraction
 
 from sollink import sol
-from sollink.cycles import boundary_components
+from sollink.cycles import boundary_components, link_boundary_closed
 from sollink.errors import ConsistencyError, InputError
 from sollink.qfield import FieldData, NormClass, QuadElem, Rat, enumerate_norm_classes
 from sollink.special_fn import beta_scaled
@@ -80,6 +81,19 @@ def min_series_coeff_reference(field, n: int, k_range: int) -> float:
             for k in range(-k_range, k_range + 1):
                 total += math.exp(min(log_mu + k * log_eps, log_mu_c - k * log_eps))
     return total / math.sqrt(2 * field.disc)
+
+
+def holomorphic_reference(field, tau: complex, k_range: int, n_cut: int) -> tuple[complex, float]:
+    """(holomorphic, holo_tail) of eval_W with every coefficient from
+    min_series_coeff_reference, n ascending, nothing kept between calls."""
+    q_abs = math.exp(-2 * math.pi * tau.imag)
+    holo = 0.0j
+    max_coeff = 0.0
+    for n in range(1, n_cut + 1):
+        c = min_series_coeff_reference(field, n, k_range)
+        max_coeff = max(max_coeff, abs(c))
+        holo += c * cmath.exp(2j * math.pi * n * tau)
+    return holo, 4 * max_coeff * q_abs ** (n_cut + 1) / (1 - q_abs) ** 2
 
 
 def beta_lattice_reference(field, tau: complex, box: int) -> tuple[complex, float]:
@@ -318,3 +332,23 @@ def hurwitz_class_number(N: int) -> Fraction:
             a += 1
         b += 2
     return total
+
+
+def hz_series(field: FieldData, nmax: int) -> dict:
+    """n -> H_D(4n) + Lk(n, 1)/2 for n = 1..nmax, D = disc, with
+    H_D(N) = sum of H((N - x^2)/D) over the x with x^2 <= N and x^2 = N
+    (mod D).  With constant term -1/12 this is the Hirzebruch-Zagier series
+    F_D, a weight-2 form for Gamma0(D) with character chi_D."""
+    D = field.disc
+    hurwitz = {}
+    out = {}
+    for n in range(1, nmax + 1):
+        h_d = Fraction(0)
+        for x in range(-math.isqrt(4 * n), math.isqrt(4 * n) + 1):
+            N, rem = divmod(4 * n - x * x, D)
+            if not rem:
+                if N not in hurwitz:
+                    hurwitz[N] = hurwitz_class_number(N)
+                h_d += hurwitz[N]
+        out[n] = h_d + link_boundary_closed(field, n) / 2
+    return out

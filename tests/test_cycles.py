@@ -1,5 +1,7 @@
 """Boundary circles of special cycles and their pairwise linking numbers."""
 
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from conftest import field
 from oracles import (
     enumerate_norm_classes_reference,
     hurwitz_class_number,
+    hz_series,
     kronecker,
     link_boundary,
     link_boundary_closed_reference,
@@ -142,6 +145,34 @@ def test_closed_form_satisfies_hirzebruch_zagier(D, d, c_D):
         divisors = [k for k in range(1, n + 1) if n % k == 0]
         eisenstein = sum(k * (kronecker(D, k) + kronecker(D, n // k)) for k in divisors)
         assert h_d + link_boundary_closed(f, n) / 2 == eisenstein / c_D, n
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 29])
+def test_hirzebruch_zagier_series_is_modular(d):
+    # F_D = -1/12 + sum (H_D(4n) + Lk(n, 1)/2) q^n is a weight-2 form for
+    # Gamma0(D) with character chi_D: F(g tau) = chi_D(d_g) (c tau + d_g)^2 F(tau).
+    # tau = -d_g/c + 0.017 + i/|c| keeps Im tau and Im g tau near 1/|c|,
+    # where 500 terms leave a tail far below the bound
+    f = field(d)
+    D = f.disc
+    coeffs = [float(c) for c in hz_series(f, 500).values()]
+
+    def F(tau):
+        return -1 / 12 + sum(c * cmath.exp(2j * math.pi * n * tau) for n, c in enumerate(coeffs, start=1))
+
+    checked = 0
+    for c in (D, -D, 2 * D):
+        for d_g in (1, 2, 3, 7, -3):
+            if math.gcd(c, d_g) != 1:
+                continue
+            a = pow(d_g, -1, abs(c))
+            b = (a * d_g - 1) // c  # a*d_g - b*c = 1
+            tau = complex(-d_g / c + 0.017, 1 / abs(c))
+            lhs = F((a * tau + b) / (c * tau + d_g))
+            rhs = kronecker(D, d_g % D) * (c * tau + d_g) ** 2 * F(tau)
+            assert abs(lhs - rhs) <= 1e-9 * abs(lhs), (c, d_g, abs(lhs - rhs) / abs(lhs))
+            checked += 1
+    assert checked >= 6  # d = 3: only d_g = 1 and 7 are prime to 12 and 24
 
 
 def test_link_boundary_empty_cycle(field5):

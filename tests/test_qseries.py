@@ -214,11 +214,11 @@ def test_eval_params_validation():
         WEvalParams(tau=1.0 + 0.0j)
     with pytest.raises(InputError):
         WEvalParams(tau=0.5 - 1.0j)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^k_range must be >= 1, got 0$"):
         WEvalParams(tau=1j, k_range=0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^box must be >= 1, got 0$"):
         WEvalParams(tau=1j, box=0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^n_cut must be >= 1, got 0$"):
         WEvalParams(tau=1j, n_cut=0)
     with pytest.raises(InputError, match="box must be at most 1000"):
         WEvalParams(tau=1j, box=1001)
@@ -247,6 +247,76 @@ def test_series_functions_share_the_k_range_bounds(field5):
         with pytest.raises(InputError, match="^k_range must be >= 1, got 0$"):
             series(0)
     assert holomorphic_ratio_test(field5, 3, 10_000).k_range == 10_000
+
+
+def test_truncations_must_be_ints(field5):
+    # a float truncation would reach range() as a TypeError, and True would
+    # count as 1; the check runs before eval_W's coefficient cache sees a key
+    with pytest.raises(InputError, match="^k_range must be an int, got 2.0$"):
+        min_series_coeff(field5, 1, 2.0)
+    with pytest.raises(InputError, match="^k_range must be an int, got 1.5$"):
+        holomorphic_ratio_test(field5, 3, 1.5)
+    for name, bad in [("box", 2.5), ("k_range", 1.5), ("n_cut", 2.5), ("n_cut", True)]:
+        with pytest.raises(InputError, match=f"^{name} must be an int, got {bad}$"):
+            WEvalParams(tau=1j, **{name: bad})
+
+
+HOLO_TAUS = [0.25 + 0.6j, 1.3j, -0.4 + 2.0j, 0.17 + 0.8j]
+# (20, 20) shares n_cut with (60, 20) but not its coefficients at d = 2 and 5,
+# so a key without k_range would fail; (60, 21) differs from (60, 20) in n_cut
+HOLO_KEYS = [(20, 5), (60, 20), (61, 20), (60, 21), (20, 20)]
+
+
+@pytest.mark.parametrize("d", [2, 5, 13, 94])
+def test_eval_w_holomorphic_matches_reference_cold_and_warm(monkeypatch, d):
+    classes = {}
+
+    def enumerate_once(f, n):
+        if n not in classes:
+            classes[n] = sollink.qfield.enumerate_norm_classes(f, n)
+        return classes[n]
+
+    monkeypatch.setattr(sollink.qseries, "enumerate_norm_classes", enumerate_once)
+    monkeypatch.setattr(oracles, "enumerate_norm_classes", enumerate_once)
+    f = field(d)
+    cache = sollink.qseries._holomorphic_coeffs
+    expected = {
+        (key, tau): oracles.holomorphic_reference(f, tau, *key) for key in HOLO_KEYS for tau in HOLO_TAUS
+    }
+
+    def holomorphic(key, tau):
+        report = eval_W(f, WEvalParams(tau=tau, k_range=key[0], n_cut=key[1], box=1))
+        return report.holomorphic, report.holo_tail
+
+    for (key, tau), value in expected.items():
+        cache.cache_clear()
+        assert holomorphic(key, tau) == value, ("cold", key, tau)
+    # warm: every key and tau with all the other keys in the cache
+    cache.cache_clear()
+    for _ in range(2):
+        for (key, tau), value in expected.items():
+            assert holomorphic(key, tau) == value, ("warm", key, tau)
+    assert cache.cache_info().currsize == len(HOLO_KEYS)
+
+
+def test_holomorphic_cache_is_bounded(field5):
+    cache = sollink.qseries._holomorphic_coeffs
+    maxsize = cache.cache_info().maxsize
+    assert maxsize == sollink.qseries._HOLO_CACHE_SIZE
+    cache.cache_clear()
+    for k_range in range(1, maxsize + 6):
+        eval_W(field5, WEvalParams(tau=1j, k_range=k_range, n_cut=1, box=1))
+        assert cache.cache_info().currsize <= maxsize
+    assert cache.cache_info().currsize == maxsize
+
+
+def test_rejected_params_add_no_cache_entry(field5):
+    cache = sollink.qseries._holomorphic_coeffs
+    cache.cache_clear()
+    for bad in [{"box": 2.5}, {"k_range": 1.5}, {"n_cut": 2.5}, {"n_cut": True}, {"n_cut": 0}, {"k_range": 10_001}]:
+        with pytest.raises(InputError):
+            eval_W(field5, WEvalParams(tau=1j, **bad))
+    assert cache.cache_info().currsize == 0
 
 
 # 0.3+0.05i keeps nearly the whole box up to box 40, 8i keeps a handful of points
