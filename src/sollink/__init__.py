@@ -1,112 +1,77 @@
 """Exact linking numbers in Sol torus bundles and on cycle boundaries over
 real quadratic fields, with the numeric completion kernels that pair with
 them.  All linking data is exact rational; floats appear only in the
-analytic layer (profiles, beta kernel, series evaluation)."""
+analytic layer (profiles, beta kernel, series evaluation).
 
-from .errors import ConsistencyError, InputError
-from .qfield import (
-    FieldData,
-    NormClass,
-    QuadElem,
-    enumerate_norm_classes,
-    fundamental_unit,
-    is_squarefree,
-    make_field,
-    reduce_totally_positive,
-)
-from .sol import (
-    CapChain,
-    SolManifold,
-    area_period,
-    boundary_cycle,
-    build_cap,
-    cap_intersect,
-    expected_boundary,
-    glueing_from_unit,
-    link_fiber,
-    make_sol,
-)
-from .cycles import (
-    BoundaryComponent,
-    LinkTable,
-    boundary_components,
-    link_boundary_closed,
-    link_table,
-)
-from .special_fn import (
-    A_profile,
-    Ap_profile,
-    B_profile,
-    Bp_profile,
-    WPoint,
-    beta_fn,
-    beta_scaled,
-    gamma_half,
-    orbit_action,
-    phi_profile,
-    quad_form,
-)
-from .qseries import (
-    InteriorTable,
-    QExpansion,
-    RatioReport,
-    WEvalParams,
-    WEvalReport,
-    combine_interior,
-    eval_W,
-    holomorphic_ratio_test,
-    lk_qexpansion,
-    min_series_coeff,
-)
+The public names are loaded lazily: `sollink.make_field` imports
+`sollink.qfield` on first use, so importing the package (or the CLI) does not
+load the layers it does not run."""
+
+import importlib
+
+# public name -> the layer submodule that defines it
+_SUBMODULE = {
+    "ConsistencyError": "errors",
+    "InputError": "errors",
+    "FieldData": "qfield",
+    "NormClass": "qfield",
+    "QuadElem": "qfield",
+    "enumerate_norm_classes": "qfield",
+    "fundamental_unit": "qfield",
+    "is_squarefree": "qfield",
+    "make_field": "qfield",
+    "reduce_totally_positive": "qfield",
+    "CapChain": "sol",
+    "SolManifold": "sol",
+    "area_period": "sol",
+    "boundary_cycle": "sol",
+    "build_cap": "sol",
+    "cap_intersect": "sol",
+    "expected_boundary": "sol",
+    "glueing_from_unit": "sol",
+    "link_fiber": "sol",
+    "make_sol": "sol",
+    "BoundaryComponent": "cycles",
+    "LinkTable": "cycles",
+    "boundary_components": "cycles",
+    "link_boundary_closed": "cycles",
+    "link_table": "cycles",
+    "A_profile": "special_fn",
+    "Ap_profile": "special_fn",
+    "B_profile": "special_fn",
+    "Bp_profile": "special_fn",
+    "WPoint": "special_fn",
+    "beta_fn": "special_fn",
+    "beta_scaled": "special_fn",
+    "gamma_half": "special_fn",
+    "orbit_action": "special_fn",
+    "phi_profile": "special_fn",
+    "quad_form": "special_fn",
+    "InteriorTable": "qseries",
+    "QExpansion": "qseries",
+    "RatioReport": "qseries",
+    "WEvalParams": "qseries",
+    "WEvalReport": "qseries",
+    "combine_interior": "qseries",
+    "eval_W": "qseries",
+    "holomorphic_ratio_test": "qseries",
+    "lk_qexpansion": "qseries",
+    "min_series_coeff": "qseries",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConsistencyError",
-    "InputError",
-    "FieldData",
-    "NormClass",
-    "QuadElem",
-    "enumerate_norm_classes",
-    "fundamental_unit",
-    "is_squarefree",
-    "make_field",
-    "reduce_totally_positive",
-    "CapChain",
-    "SolManifold",
-    "area_period",
-    "boundary_cycle",
-    "build_cap",
-    "cap_intersect",
-    "expected_boundary",
-    "glueing_from_unit",
-    "link_fiber",
-    "make_sol",
-    "BoundaryComponent",
-    "LinkTable",
-    "boundary_components",
-    "link_boundary_closed",
-    "link_table",
-    "A_profile",
-    "Ap_profile",
-    "B_profile",
-    "Bp_profile",
-    "WPoint",
-    "beta_fn",
-    "beta_scaled",
-    "gamma_half",
-    "orbit_action",
-    "phi_profile",
-    "quad_form",
-    "InteriorTable",
-    "QExpansion",
-    "RatioReport",
-    "WEvalParams",
-    "WEvalReport",
-    "combine_interior",
-    "eval_W",
-    "holomorphic_ratio_test",
-    "lk_qexpansion",
-    "min_series_coeff",
-    "__version__",
-]
+__all__ = [*_SUBMODULE, "__version__"]
+
+
+def __getattr__(name: str):
+    # Looked up on every access and never stored here, so a name replaced on
+    # its layer module (a test's monkeypatch, a tracer) is what callers get.
+    layer = _SUBMODULE.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{layer}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBMODULE})

@@ -4,24 +4,24 @@ Every subcommand prints a deterministic rendering of one library call: byte
 identical across runs for identical flags (and seed).  Exit codes: 0 success,
 1 computational inconsistency (a cross-check or exactness assertion failed),
 2 usage error.
+
+Each subcommand imports the layers and stdlib modules it runs when it runs,
+so a call loads only what it uses and a usage error exits before any layer
+is loaded.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
-import json
-import re
 import sys
-from fractions import Fraction
 
-from . import cycles, qseries, selftest, sol
 from .errors import ConsistencyError, InputError
-from .qfield import _scan_length, make_field
 
 
 def parse_tau(text: str) -> complex:
     """Parse 'RE+IMi' (also accepts 'IMi'); the imaginary part must be > 0."""
+    import re
+
     # only the trailing i is the imaginary unit: 'inf' and 'nan' keep theirs
     try:
         value = complex(re.sub(r"i(?=\s*\)?\s*\Z)", "j", text.replace(" ", "")))
@@ -54,6 +54,10 @@ _CELLS_MAX = 10**6
 def _check_scan_budget(field, nmax: int, m: int = 0) -> None:
     """InputError when the b-scans over the norms 1..nmax and m exceed
     _SCAN_BUDGET steps; norms below 1 are left to the library's checks."""
+    import itertools
+
+    from .qfield import _scan_length
+
     top = max(nmax, m)
     # every norm costs at least one step, so the loop stops within the budget
     norms = itertools.chain(range(1, nmax + 1), [m] if m > max(nmax, 0) else [])
@@ -62,6 +66,24 @@ def _check_scan_budget(field, nmax: int, m: int = 0) -> None:
         steps += _scan_length(field, n)
         if steps > _SCAN_BUDGET:
             raise InputError(f"norm-class scans up to n = {top} at d = {field.d} need more than {_SCAN_BUDGET} steps")
+
+
+# argparse reads a value that starts with '-' as an option unless it is a plain
+# negative number, so `--tau -0.2+0.5i` or `--f -2,1,1,-1` would lose their
+# value; main() joins these flags with such a value, as in `--tau=-0.2+0.5i`.
+_SIGNED_FLAGS = ("--tau", "--f", "--a", "--b")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """argv with each of _SIGNED_FLAGS joined to a following token that
+    starts with '-' and then a digit or '.'."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _SIGNED_FLAGS and len(token) > 1 and token[0] == "-" and token[1] in "0123456789.":
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def _complex_str(z: complex) -> str:
@@ -178,6 +200,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_field_info(args: argparse.Namespace) -> tuple[int, str]:
+    import json
+
+    from . import sol
+    from .qfield import make_field
+
     field = make_field(args.d)
     basis = "(1 + sqrt(d))/2" if field.d % 4 == 1 else "sqrt(d)"
     m = sol.glueing_from_unit(field)
@@ -206,6 +233,10 @@ def _run_field_info(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_sol_link(args: argparse.Namespace) -> tuple[int, str]:
+    import json
+
+    from . import sol
+
     f = _parse_ints(args.f, 4, "--f")
     a = _parse_ints(args.a, 2, "--a")
     b = _parse_ints(args.b, 2, "--b")
@@ -221,6 +252,11 @@ _CAP_PROBES = ((1, 0), (0, 1), (1, 1), (2, 1), (1, -2))
 
 
 def _run_sol_cap(args: argparse.Namespace) -> tuple[int, str]:
+    import json
+    from fractions import Fraction
+
+    from . import sol
+
     f = _parse_ints(args.f, 4, "--f")
     a = _parse_ints(args.a, 2, "--a")
     m = sol.make_sol((f[:2], f[2:]))
@@ -260,6 +296,11 @@ def _run_sol_cap(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_boundary(args: argparse.Namespace) -> tuple[int, str]:
+    import json
+
+    from . import cycles
+    from .qfield import make_field
+
     field = make_field(args.d)
     if args.n < 1:
         raise InputError(f"--n must be >= 1, got {args.n}")
@@ -290,6 +331,11 @@ def _run_boundary(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_lk_table(args: argparse.Namespace) -> tuple[int, str]:
+    import json
+
+    from . import cycles
+    from .qfield import make_field
+
     field = make_field(args.d)
     if args.nmax > 0 and args.nmax * args.nmax > _CELLS_MAX:
         raise InputError(f"--nmax {args.nmax} gives {args.nmax * args.nmax} cells, more than {_CELLS_MAX}")
@@ -311,7 +357,7 @@ def _run_lk_table(args: argparse.Namespace) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _render_qexp(q: qseries.QExpansion, fmt: str) -> str:
+def _render_qexp(q, fmt: str) -> str:
     if fmt == "csv":
         return q.to_csv()
     if fmt == "json":
@@ -321,6 +367,9 @@ def _render_qexp(q: qseries.QExpansion, fmt: str) -> str:
 
 
 def _run_qexp(args: argparse.Namespace) -> tuple[int, str]:
+    from . import qseries
+    from .qfield import make_field
+
     field = make_field(args.d)
     _check_scan_budget(field, args.nmax, args.m)
     q = qseries.lk_qexpansion(field, args.m, args.nmax)
@@ -328,6 +377,11 @@ def _run_qexp(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_w_eval(args: argparse.Namespace) -> tuple[int, str]:
+    import json
+
+    from . import qseries
+    from .qfield import make_field
+
     tau = parse_tau(args.tau)
     field = make_field(args.d)
     params = qseries.WEvalParams(tau=tau, k_range=args.k_range, box=args.box, n_cut=args.n_cut)
@@ -356,6 +410,11 @@ def _run_w_eval(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_ratio_test(args: argparse.Namespace) -> tuple[int, str]:
+    import json
+
+    from . import qseries
+    from .qfield import make_field
+
     field = make_field(args.d)
     _check_scan_budget(field, args.nmax)
     report = qseries.holomorphic_ratio_test(field, args.nmax, args.k_range)
@@ -380,6 +439,9 @@ def _run_ratio_test(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_combine(args: argparse.Namespace) -> tuple[int, str]:
+    from . import qseries
+    from .qfield import make_field
+
     field = make_field(args.d)
     try:
         with open(args.interior, encoding="utf-8") as fh:
@@ -394,6 +456,8 @@ def _run_combine(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_self_test(args: argparse.Namespace) -> tuple[int, str]:
+    from . import selftest
+
     verdicts = selftest.run_suites(args.seed)
     lines = [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in verdicts]
     failed = sum(1 for _, ok, _ in verdicts if not ok)
@@ -403,7 +467,7 @@ def _run_self_test(args: argparse.Namespace) -> tuple[int, str]:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.format is None:

@@ -78,7 +78,7 @@ def test_sol_cap_checks(capsys):
 
 
 def test_sol_cap_reports_inconsistency(capsys, monkeypatch):
-    monkeypatch.setattr(cli.sol, "area_period", lambda cap: 1)
+    monkeypatch.setattr("sollink.sol.area_period", lambda cap: 1)
     code, out, err = run(capsys, "sol-cap", "--f", "2,1,1,1", "--a", "1,0")
     assert code == 1 and out == ""
     assert err.startswith("inconsistency:")
@@ -256,10 +256,45 @@ BAD_TAU = {
 
 @pytest.mark.parametrize("bad_tau", list(BAD_TAU))
 def test_w_eval_rejects_bad_tau(capsys, bad_tau):
-    # --tau=... so that a leading minus sign is not taken for a flag
     code, out, err = run(capsys, "w-eval", "--d", "5", f"--tau={bad_tau}")
     assert code == 2 and out == "" and "error:" in err
     assert BAD_TAU[bad_tau] in err
+
+
+@pytest.mark.parametrize(
+    "split, joined",
+    [
+        ("w-eval --d 5 --tau -0.2+0.5i --box 6 --n-cut 4", "w-eval --d 5 --tau=-0.2+0.5i --box 6 --n-cut 4"),
+        ("w-eval --d 13 --tau -.25+1i --format json", "w-eval --d 13 --tau=-.25+1i --format json"),
+        ("sol-link --f -2,1,1,-1 --a -1,0 --b 0,1", "sol-link --f=-2,1,1,-1 --a=-1,0 --b=0,1"),
+        ("sol-link --f 2,1,1,1 --a 1,0 --b -3,2 --format json", "sol-link --f 2,1,1,1 --a 1,0 --b=-3,2 --format json"),
+        ("sol-cap --f -3,1,-1,0 --a -1,2", "sol-cap --f=-3,1,-1,0 --a=-1,2"),
+    ],
+)
+def test_signed_value_after_its_flag(capsys, split, joined):
+    # a value that starts with '-' and a digit or '.' may also follow its flag
+    code, out, err = run(capsys, *split.split())
+    assert (code, err) == (0, "") and out
+    assert run(capsys, *joined.split()) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--tau", "-1x"), "error: --tau must look like RE+IMi, got '-1x'"),
+        (("--tau=-x",), "error: --tau must look like RE+IMi, got '-x'"),
+        (("--tau", "-x"), "argument --tau: expected one argument"),
+        (("--tau", "--"), "error:"),
+    ],
+)
+def test_signed_value_errors(capsys, argv, message):
+    code, out, err = run(capsys, "w-eval", "--d", "5", *argv)
+    assert (code, out) == (2, "") and message in err
+
+
+def test_help_after_a_signed_value(capsys):
+    code, out, err = run(capsys, "w-eval", "--d", "5", "--tau", "-0.5+1i", "-h")
+    assert (code, err) == (0, "") and out.startswith("usage: sollink w-eval")
 
 
 @pytest.mark.parametrize(
@@ -408,7 +443,7 @@ def test_self_test_passes(capsys):
 
 
 def test_self_test_reports_failures(capsys, monkeypatch):
-    monkeypatch.setattr(cli.selftest, "run_suites", lambda seed: [("stub", False, "boom")])
+    monkeypatch.setattr("sollink.selftest.run_suites", lambda seed: [("stub", False, "boom")])
     code, out, _ = run(capsys, "self-test")
     assert code == 1 and "FAIL stub: boom" in out
 

@@ -1,0 +1,44 @@
+"""A CLI call imports only the layers its subcommand runs.
+
+Each case runs in a fresh interpreter, which lists the modules it has loaded
+once the call returns.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+PROBE = """
+import sys
+from sollink import cli
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+sys.stdout.flush()
+print(*sorted(sys.modules), sep="\\n", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def loaded(*argv) -> set:
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_importing_the_cli_loads_no_layer():
+    modules = loaded()
+    assert {m for m in modules if m.startswith("sollink.")} == {"sollink.cli", "sollink.errors"}
+    assert not modules & {"dataclasses", "json"}
+
+
+@pytest.mark.parametrize(
+    "argv, runs, skips",
+    [
+        (("sol-link", "--f", "2,1,1,1", "--a", "1,0", "--b", "0,1"), {"sol"}, {"cycles", "qseries", "special_fn", "selftest"}),
+        (("boundary", "--d", "5", "--n", "4"), {"cycles"}, {"qseries", "special_fn", "selftest"}),
+    ],
+)
+def test_a_subcommand_loads_only_its_layers(argv, runs, skips):
+    modules = loaded(*argv)
+    assert {f"sollink.{layer}" for layer in runs} <= modules
+    assert not modules & {f"sollink.{layer}" for layer in skips}
