@@ -5,10 +5,12 @@ circle family per class of totally positive integers of norm n.  The circle of
 class mu runs min' = gcd-many times parallel along the line R*mu, and two
 families link inside the Sol cross-section, where the gluing is multiplication
 by the conjugate totally positive fundamental unit.  The symplectic form is
-<x, y> = (x*y' - x'*y)/sqrt(disc), exact and rational on field elements.
-Linking numbers come from per-norm class sums (_link_numbers); the
-component-pair double sum they reduce to is the test oracle
-tests/oracles.link_boundary.
+<x, y> = (x*y' - x'*y)/sqrt(disc), the w-coordinate of x*y', an integer on
+O_K.  Class reps and eps are integers of the field, so the sums here run on
+their int coordinates (_mul, _unit_ints), and each returned value is one
+Fraction over N(eps - 1).  Linking numbers come from per-norm class sums
+(_link_numbers); the component-pair double sum they reduce to is the test
+oracle tests/oracles.link_boundary.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def boundary_components(field: FieldData, n) -> list[BoundaryComponent]:
     s0, n0 = field.s0, field.n0
     out = []
     for cls in enumerate_norm_classes(field, n):
-        a, b = cls.rep.a.numerator, cls.rep.b.numerator
+        a, b = cls.rep.a, cls.rep.b
         mult = math.gcd(a, b)  # the content of the integral rep
         a, b = a // mult, b // mult
         # a + b*w is totally positive iff its trace and its norm are positive
@@ -72,7 +74,7 @@ def _mul(field: FieldData, x, y) -> tuple[int, int]:
 
 def _unit_ints(field: FieldData) -> tuple[tuple[int, int], tuple[int, int], int]:
     """eps and (eps - 1)' as int pairs, and N(eps - 1) = 2 - Tr(eps)."""
-    a, b = int(field.eps.a), int(field.eps.b)
+    a, b = field.eps.a, field.eps.b
     return (a, b), (a + b * field.s0 - 1, -b), 2 - 2 * a - b * field.s0
 
 
@@ -82,7 +84,7 @@ def _link_cells(field: FieldData, comps: dict, ns, ms) -> dict:
     coords = {}
     for k, cs in comps.items():
         reps = [c.cls.rep for c in cs]
-        coords[k] = (sum(r.a.numerator for r in reps), sum(r.b.numerator for r in reps))
+        coords[k] = (sum(r.a for r in reps), sum(r.b for r in reps))
     _, gc, den = _unit_ints(field)
     out = {}
     # every cell has the denominator den, so its numerator fixes its value; a
@@ -122,7 +124,7 @@ def link_boundary_closed(field: FieldData, n) -> Fraction:
     eps, gc, den = _unit_ints(field)
     total = 0
     for cls in enumerate_norm_classes(field, n):
-        a, b = cls.rep.a.numerator, cls.rep.b.numerator
+        a, b = cls.rep.a, cls.rep.b
         c = _mul(field, (a + b * s0, -b), eps)  # mu'*eps, with w' = s0 - w
         p, q = _mul(field, (a + c[0], b + c[1]), gc)
         if 2 * p + s0 * q:

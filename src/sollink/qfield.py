@@ -1,9 +1,9 @@
-"""Exact arithmetic in real quadratic fields Q(sqrt(d)).
+"""Exact arithmetic in the ring of integers O_K of a real quadratic field Q(sqrt(d)).
 
-Elements are stored as a + b*w over Fraction coordinates, where w = (1+sqrt(d))/2
-for d = 1 mod 4 and w = sqrt(d) otherwise, so integer coordinates are exactly the
-ring of integers.  Everything here is exact; no floats are consulted for sign
-tests, reduction, or enumeration.
+Elements are a + b*w with int coordinates, where w = (1+sqrt(d))/2 for
+d = 1 mod 4 and w = sqrt(d) otherwise, so (1, w) is a Z-basis of O_K and
+division is exact division in O_K.  Everything here is exact; no floats are
+consulted for sign tests, reduction, or enumeration.
 """
 
 from __future__ import annotations
@@ -62,27 +62,21 @@ class FieldData:
             self.s0 = 0
             self.n0 = -d
         self.eps0 = fundamental_unit(self)
-        self.eps0_norm = int(self.eps0.norm())
+        self.eps0_norm = self.eps0.norm()
         self.eps = self.eps0 if self.eps0_norm == 1 else self.eps0 * self.eps0
         # a + b*w = (2a + s0*b + b*sqrt(disc))/2, so T = trace(eps^2), U = its b
         e2 = self.eps * self.eps
-        self.eps_sq = (int(e2.trace()), int(e2.b))
+        self.eps_sq = (e2.trace(), e2.b)
 
-    def element(self, a: Rat, b: Rat = 0) -> "QuadElem":
-        return QuadElem(self, Fraction(a), Fraction(b))
-
-    @property
-    def one(self) -> "QuadElem":
-        return self.element(1)
+    def element(self, a: int, b: int = 0) -> "QuadElem":
+        """The integer a + b*w; InputError unless a and b are ints (bool is not)."""
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (a, b)):
+            raise InputError(f"element coordinates must be ints, got ({a!r}, {b!r})")
+        return QuadElem(self, a, b)
 
     @property
     def omega(self) -> "QuadElem":
         return self.element(0, 1)
-
-    @property
-    def sqrt_disc(self) -> "QuadElem":
-        # sqrt(disc) = 2w - s0 in both discriminant cases
-        return self.element(-self.s0, 2)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldData) and other.d == self.d
@@ -99,7 +93,7 @@ def make_field(d: int) -> FieldData:
     return FieldData(d)
 
 
-def _sign(p: Rat, q: Rat, r: int) -> int:
+def _sign(p: int, q: int, r: int) -> int:
     """Exact sign of p + q*sqrt(r) for a non-square r > 0."""
     if p >= 0 and q >= 0:
         return int(p > 0 or q > 0)
@@ -111,13 +105,13 @@ def _sign(p: Rat, q: Rat, r: int) -> int:
 
 
 def _coerced(op):
-    """QuadElem operator whose other operand is an int, a Fraction or an element
-    of the same field; any other operand gives NotImplemented."""
+    """QuadElem operator whose other operand is an int or an element of the
+    same field; anything else gives NotImplemented."""
 
     @functools.wraps(op)
     def wrapper(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadElem(self.field, Fraction(other), Fraction(0))
+        if isinstance(other, int):
+            other = QuadElem(self.field, other, 0)
         elif not isinstance(other, QuadElem):
             return NotImplemented
         elif self.field != other.field:
@@ -130,22 +124,22 @@ def _coerced(op):
 @functools.total_ordering
 @dataclass(frozen=True, eq=False)
 class QuadElem:
-    """a + b*w with exact rational coordinates; <=, > and >= derive from < and ==."""
+    """a + b*w with int coordinates; <=, > and >= derive from < and ==."""
 
     field: FieldData
-    a: Fraction
-    b: Fraction
+    a: int
+    b: int
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QuadElem):
             return self.field == other.field and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.b == 0 and self.a == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        # rational elements hash like their Fraction value, so x == r implies
-        # hash(x) == hash(r)
+        # rational integers hash like their int value, so x == k implies
+        # hash(x) == hash(k)
         if self.b == 0:
             return hash(self.a)
         return hash((self.field.d, self.a, self.b))
@@ -179,65 +173,34 @@ class QuadElem:
 
     @_coerced
     def __truediv__(self, other):
+        """Exact quotient self*other'/N(other) in O_K; InputError if it is not integral."""
         n = other.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero element")
         num = self * other.conj()
-        return QuadElem(self.field, num.a / n, num.b / n)
-
-    @_coerced
-    def __rtruediv__(self, other):
-        return other / self
-
-    def __pow__(self, k: int) -> "QuadElem":
-        if not isinstance(k, int):
-            raise TypeError("exponent must be int")
-        base = self if k >= 0 else self.field.one / self
-        k = abs(k)
-        out = self.field.one
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        (a, ra), (b, rb) = divmod(num.a, n), divmod(num.b, n)
+        if ra or rb:
+            raise InputError(f"{self} / {other} is not an integer of the field")
+        return QuadElem(self.field, a, b)
 
     def conj(self) -> "QuadElem":
         # w' = s0 - w
         return QuadElem(self.field, self.a + self.b * self.field.s0, -self.b)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int:
         f = self.field
         return self.a * self.a + self.a * self.b * f.s0 + self.b * self.b * f.n0
 
-    def trace(self) -> Fraction:
+    def trace(self) -> int:
         return 2 * self.a + self.b * self.field.s0
-
-    def sqrt_coords(self) -> tuple[Fraction, Fraction]:
-        """(p, q) with self = p + q*sqrt(d) under the embedding sqrt(d) > 0."""
-        # w = (1 + sqrt(d))/2 when s0 = 1, w = sqrt(d) when s0 = 0
-        if self.field.s0:
-            return self.a + self.b / 2, self.b / 2
-        return self.a, self.b
 
     def sign(self) -> int:
         """Exact sign under the real embedding with sqrt(d) > 0."""
-        return _sign(*self.sqrt_coords(), self.field.d)
+        # 2*self = trace + b*sqrt(disc) in both discriminant cases
+        return _sign(self.trace(), self.b, self.field.disc)
 
     def is_totally_positive(self) -> bool:
         return self.sign() > 0 and self.conj().sign() > 0
-
-    def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
-
-    def content(self) -> int:
-        """gcd of the integer coordinates; element must be integral and nonzero."""
-        if not self.is_integral():
-            raise InputError("content requires an integral element")
-        g = math.gcd(int(self.a), int(self.b))
-        if g == 0:
-            raise InputError("content of zero is undefined")
-        return g
 
     def embed(self, conjugate: bool = False) -> float:
         """Float value under the chosen real embedding (for numerics only)."""
@@ -253,7 +216,11 @@ class QuadElem:
         return (self - other).sign() < 0
 
     def __str__(self) -> str:
-        p, q = self.sqrt_coords()
+        """p + q*sqrt(d), with the halves p = trace/2 and q = b/2 when w = (1+sqrt(d))/2."""
+        if self.field.s0:
+            p, q = Fraction(self.trace(), 2), Fraction(self.b, 2)
+        else:
+            p, q = self.a, self.b
         if q == 0:
             return str(p)
         if p == 0:

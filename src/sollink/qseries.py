@@ -38,6 +38,17 @@ def _fraction_from_json(value) -> Fraction:
     raise InputError(f"not a rational literal: {value!r}")
 
 
+def _unique_keys(pairs) -> dict:
+    """json.loads object_pairs_hook: the object as a dict, InputError on a
+    repeated key, which plain json.loads would let the last value overwrite."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"interior table repeats the key {key!r}")
+        out[key] = value
+    return out
+
+
 @dataclass(frozen=True)
 class QExpansion:
     """Exact rational q-expansion: coefficient of q^n for n = 1..nmax."""
@@ -333,9 +344,12 @@ class InteriorTable:
     @classmethod
     def from_json(cls, text: str) -> "InteriorTable":
         # JSONDecodeError and an int over the interpreter's digit limit are both
-        # ValueError; nesting too deep is RecursionError
+        # ValueError; nesting too deep is RecursionError.  InputError is a
+        # ValueError too, and passes unwrapped
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=_unique_keys)
+        except InputError:
+            raise
         except (ValueError, RecursionError) as exc:
             raise InputError(f"invalid JSON: {exc}") from exc
         if not isinstance(raw, dict) or "m" not in raw or "entries" not in raw:
@@ -356,6 +370,8 @@ class InteriorTable:
                 n = int(key)
             except ValueError as exc:
                 raise InputError(f"bad index in interior table: {key!r}") from exc
+            if n in entries:
+                raise InputError(f"interior table repeats n = {n} (key {key!r})")
             entries[n] = _fraction_from_json(val)
         return cls(m=m, entries=entries, provenance=str(raw.get("provenance", "")))
 

@@ -91,7 +91,7 @@ def glueing_from_unit(field: FieldData) -> SolManifold:
     eps_conj = field.eps.conj()
     c1 = eps_conj  # eps' * 1
     c2 = eps_conj * field.omega
-    f = ((int(c1.a), int(c2.a)), (int(c1.b), int(c2.b)))
+    f = ((c1.a, c2.a), (c1.b, c2.b))
     return make_sol(f)
 
 

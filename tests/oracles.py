@@ -120,7 +120,7 @@ def enumerate_norm_classes_reference(field, n: int) -> list:
     """enumerate_norm_classes for an integer n >= 1 with Fraction sign tests:
     each b-scan survivor becomes a QuadElem that must be totally positive and
     satisfy x/x' < eps^2."""
-    t2m2 = int((field.eps * field.eps).trace()) - 2
+    t2m2 = (field.eps * field.eps).trace() - 2
     b_max = math.isqrt(n * t2m2 // field.disc)
     e2 = field.eps * field.eps
     out = []
@@ -160,7 +160,7 @@ def brute_force_norm_solutions(field: FieldData, n: Rat, bound: int) -> list[Qua
     return out
 
 
-def symplectic_pairing(x: QuadElem, y: QuadElem) -> Fraction:
+def symplectic_pairing(x: QuadElem, y: QuadElem) -> int:
     """<x, y> = (x*y' - x'*y)/sqrt(disc), the w-coordinate of x*y'."""
     if x.field != y.field:
         raise InputError("pairing requires elements of one field")
@@ -175,30 +175,34 @@ def link_boundary(field: FieldData, n, m) -> Fraction:
     and a global factor 2 for the two signs of each class.  Same-fiber pairs
     (proportional classes) inherit the positive push-off convention of
     sol.link_fiber.  This is the reference route; tables use _link_numbers.
+    The pairing is linear, so <g Jmu, Jnu> = <Jmu*(eps - 1)', Jnu>/N(eps - 1).
     """
     comps_n, comps_m = boundary_components(field, n), boundary_components(field, m)
     gm1 = field.eps - 1  # g acts on classes as division by (eps - 1)
+    gc, den = gm1.conj(), gm1.norm()
     total = Fraction(0)
     for cn in comps_n:
-        g_dir = cn.fiber_label / gm1
+        g_dir = cn.fiber_label * gc  # N(eps - 1) * g Jmu
         for cm in comps_m:
-            term = symplectic_pairing(g_dir, cm.fiber_label)
+            term = Fraction(symplectic_pairing(g_dir, cm.fiber_label), den)
             total += 2 * cn.multiplicity * cm.multiplicity * term
     return total
 
 
 def link_boundary_closed_reference(field: FieldData, n) -> Fraction:
     """cycles.link_boundary_closed with one QuadElem per class: the sum of the
-    w-coordinates of X = (mu + mu'*eps)/(eps - 1), each checked to have trace 0."""
+    w-coordinates of X = (mu + mu'*eps)/(eps - 1), each checked to have trace 0.
+    X = Y/N(eps - 1) with Y = (mu + mu'*eps)*(eps - 1)' in O_K."""
     if not enumerate_norm_classes(field, 1):
         raise ConsistencyError("no norm-1 class; unit bookkeeping is broken")
     eps = field.eps
+    gc, den = (eps - 1).conj(), (eps - 1).norm()
     total = Fraction(0)
     for cls in enumerate_norm_classes(field, n):
-        x = (cls.rep + cls.rep.conj() * eps) / (eps - 1)
-        if x.trace() != 0:
+        y = (cls.rep + cls.rep.conj() * eps) * gc
+        if y.trace() != 0:
             raise ConsistencyError(f"closed-form term for {cls.rep!r} is not rational*sqrt(disc)")
-        total += x.b
+        total += Fraction(y.b, den)
     return total
 
 
@@ -277,7 +281,7 @@ def reduce_totally_positive_ints(field: FieldData, a: int, b: int) -> tuple[int,
     def mul(x, y):
         return (x[0] * y[0] - n0 * x[1] * y[1], x[0] * y[1] + x[1] * y[0] + s0 * x[1] * y[1])
 
-    eps = (int(field.eps.a), int(field.eps.b))
+    eps = (field.eps.a, field.eps.b)
     eps_inv = (eps[0] + s0 * eps[1], -eps[1])  # eps' = 1/eps
     e2 = mul(eps, eps)
     x = (a, b)

@@ -151,7 +151,55 @@ GOLDEN_STDOUT = {
         "unit trace: 11\n"
         "gluing N_det: -9\n"
     ),
+    # s0 = 0 and a large unit
+    "field-info --d 94 --format json": (
+        "{\n"
+        '  "d": 94,\n'
+        '  "disc": 376,\n'
+        '  "omega": "sqrt(d)",\n'
+        '  "eps0": "2143295 + 221064*sqrt(94)",\n'
+        '  "eps0_norm": 1,\n'
+        '  "eps": "2143295 + 221064*sqrt(94)",\n'
+        '  "eps_trace": "4286590",\n'
+        '  "n_det": -4286588\n'
+        "}\n"
+    ),
+    # a fundamental unit of norm -1 with s0 = 0
+    "field-info --d 2": (
+        "d: 2\n"
+        "disc: 8\n"
+        "integer basis: 1, w = sqrt(d)\n"
+        "fundamental unit: 1 + 1*sqrt(2) (norm -1)\n"
+        "totally positive unit: 3 + 2*sqrt(2)\n"
+        "unit trace: 6\n"
+        "gluing N_det: -4\n"
+    ),
     "boundary --d 5 --n 4": "class 2  multiplicity 2  fiber (1, 0)\n",
+    # halves in str with b != 0
+    "boundary --d 5 --n 11": (
+        "class 7/2 + 1/2*sqrt(5)  multiplicity 1  fiber (3, 1)\n"
+        "class 4 + 1*sqrt(5)  multiplicity 1  fiber (3, 2)\n"
+    ),
+    "boundary --d 13 --n 3 --format json": (
+        "{\n"
+        '  "d": 13,\n'
+        '  "n": 3,\n'
+        '  "components": [\n'
+        "    {\n"
+        '      "rep": "5/2 + 1/2*sqrt(13)",\n'
+        '      "coords": [\n        "2",\n        "1"\n      ],\n'
+        '      "multiplicity": 1,\n'
+        '      "fiber": [\n        "2",\n        "1"\n      ]\n'
+        "    },\n"
+        "    {\n"
+        '      "rep": "4 + 1*sqrt(13)",\n'
+        '      "coords": [\n        "3",\n        "2"\n      ],\n'
+        '      "multiplicity": 1,\n'
+        '      "fiber": [\n        "3",\n        "2"\n      ]\n'
+        "    }\n"
+        "  ]\n"
+        "}\n"
+    ),
     "sol-cap --f 5,2,2,1 --a 3,-1 --format json": (
         "{\n"
         '  "f": [\n    5,\n    2,\n    2,\n    1\n  ],\n'
@@ -377,6 +425,28 @@ def test_combine_rejects_non_utf8_file(tmp_path, capsys):
     assert (code, out) == (2, "") and err.startswith("error: cannot read interior table:") and err.count("\n") == 1
 
 
+# an index given twice: as another spelling of the same int, or as the same key
+INTERIOR_REPEATED_KEY = '{"m": 1, "entries": {"1": "2", "1": "5", "2": "0"}}'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps({"m": 1, "entries": {"1": "2", "01": "5", "2": "0"}}), "repeats n = 1 (key '01')"),
+        (json.dumps({"m": 1, "entries": {"1": "2", " 1 ": "5", "2": "0"}}), "repeats n = 1 (key ' 1 ')"),
+        (INTERIOR_REPEATED_KEY, "repeats the key '1'"),
+        ('{"m": 1, "m": 2, "entries": {"1": "2", "2": "0"}}', "repeats the key 'm'"),
+    ],
+    ids=["leading-zero", "spaces", "same-key", "same-m"],
+)
+def test_combine_rejects_a_repeated_index(tmp_path, capsys, text, message):
+    table = tmp_path / "interior.json"
+    table.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "combine", "--d", "5", "--interior", str(table), "--nmax", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: interior table {message}\n"
+
+
 def test_combine_incomplete_table(tmp_path, capsys):
     table = tmp_path / "interior.json"
     table.write_text(json.dumps({"m": 1, "entries": {"1": "5"}}), encoding="utf-8")
@@ -575,6 +645,7 @@ INTERIOR_FILES = [
     INTERIOR_TOO_DEEP,
     INTERIOR_BIG_ENTRY,
     INTERIOR_BIG_M,
+    INTERIOR_REPEATED_KEY,
 ]
 
 

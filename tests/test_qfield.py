@@ -73,22 +73,57 @@ def test_is_squarefree():
     assert [d for d in range(2, 20) if is_squarefree(d)] == [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19]
 
 
+def _times_eps_power(f, x, k):
+    """x * eps^k, by |k| multiplications with eps or eps' = 1/eps."""
+    unit = f.eps if k >= 0 else f.eps.conj()
+    for _ in range(abs(k)):
+        x = x * unit
+    return x
+
+
 def test_arithmetic_identities(field5):
     w = field5.omega
     assert w * w == -field5.n0 + field5.s0 * w
-    assert (field5.sqrt_disc * field5.sqrt_disc).a == field5.disc
-    x = field5.element(3, Fraction(1, 2))
+    sqrt_disc = 2 * w - field5.s0
+    assert sqrt_disc * sqrt_disc == field5.disc
+    x = field5.element(3, 7)
     assert x * x.conj() == x.norm()
     assert x + x.conj() == x.trace()
-    assert (x**3) * (x**-3) == field5.one
-    assert (1 / w) * w == field5.one
+    assert (x * x * x) / x == x * x
+    assert (field5.element(1) / w) * w == 1  # w is a unit at d = 5
+    assert field5.eps * field5.eps.conj() == 1
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 0.5, 2.0, "1", True, None])
+def test_element_takes_ints_only(field5, bad):
+    with pytest.raises(InputError, match="^element coordinates must be ints, got "):
+        field5.element(bad, 1)
+    with pytest.raises(InputError, match="^element coordinates must be ints, got "):
+        field5.element(1, bad)
+
+
+@pytest.mark.parametrize("d", [2, 5, 13])
+def test_division_is_exact_in_the_ring(d):
+    f = field(d)
+    assert f.element(4, 6) / 2 == f.element(2, 3)
+    with pytest.raises(InputError, match="is not an integer of the field"):
+        f.element(1, 1) / 2
+    with pytest.raises(ZeroDivisionError):
+        f.element(1, 1) / 0
+    with pytest.raises(ZeroDivisionError):
+        f.element(1, 1) / f.element(0)
+    x, y = f.element(3, -2), f.element(-5, 4)
+    assert (x * y) / y == x and (x * y) / x == y
+    for z in (x + y, x - y, x * y, x.conj(), (x * y) / y, 1 - x, 2 * y):
+        assert type(z.a) is int and type(z.b) is int
+    assert type(x.norm()) is int and type(x.trace()) is int
 
 
 def test_sign_is_exact():
     f = field(5)
     # 682/305 is a continued-fraction convergent of sqrt(5); the difference is
     # ~1e-5 and must still get the exact sign right
-    x = f.sqrt_disc * 305 - 682
+    x = (2 * f.omega - f.s0) * 305 - 682  # 305*sqrt(5) - 682
     assert x.sign() == (1 if 5 * 305**2 > 682**2 else -1)
     assert (-x).sign() == -x.sign()
     assert f.element(0).sign() == 0
@@ -136,8 +171,7 @@ def test_brute_force_box_d5(field5):
 
 
 def test_reduction_lands_in_domain(field5):
-    eps = field5.eps
-    x = field5.element(2, 1) * eps**5
+    x = _times_eps_power(field5, field5.element(2, 1), 5)
     r = reduce_totally_positive(field5, x)
     assert (r.a, r.b) == (2, 1)
     assert reduce_totally_positive(field5, r) == r
@@ -163,7 +197,8 @@ def test_eps_sq_coordinates(d):
     f = field(d)
     big_t, big_u = f.eps_sq
     assert big_t * big_t - f.disc * big_u * big_u == 4  # norm(eps^2) = 1
-    assert f.element(Fraction(big_t - f.s0 * big_u, 2), big_u) == f.eps * f.eps
+    assert (big_t - f.s0 * big_u) % 2 == 0
+    assert f.element((big_t - f.s0 * big_u) // 2, big_u) == f.eps * f.eps
 
 
 # The reference scans every b: 2.2e5 of them at d=94, n=1 and 1.7e6 at n=60,
@@ -187,7 +222,7 @@ def test_d151_norm_one_is_the_unit_class():
     # in the domain; the b range has 1.4e8 values, the wheel visits about 2e6
     f = field(151)
     start = time.perf_counter()
-    assert enumerate_norm_classes(f, 1) == [NormClass(rep=f.one)]
+    assert enumerate_norm_classes(f, 1) == [NormClass(rep=f.element(1))]
     assert time.perf_counter() - start < 10
 
 
@@ -286,12 +321,12 @@ def test_reduction_is_orbit_invariant(d, a, b, k):
     x = f.element(a, b)
     if not x.is_totally_positive():
         return
-    assert reduce_totally_positive(f, x * f.eps**k) == reduce_totally_positive(f, x)
+    assert reduce_totally_positive(f, _times_eps_power(f, x, k)) == reduce_totally_positive(f, x)
 
 
 def test_cross_field_operations_rejected():
     with pytest.raises(InputError):
-        field(5).one + field(13).one
+        field(5).element(1) + field(13).element(1)
 
 
 @pytest.mark.parametrize(
