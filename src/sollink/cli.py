@@ -91,16 +91,39 @@ def _complex_str(z: complex) -> str:
     return f"{z.real!r} {op} {abs(z.imag)!r}i"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The subcommands, in the order _build_parser adds them.
+_COMMANDS = (
+    "field-info",
+    "sol-link",
+    "sol-cap",
+    "boundary",
+    "lk-table",
+    "qexp",
+    "w-eval",
+    "ratio-test",
+    "combine",
+    "self-test",
+)
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with `only`, a subcommand name, it holds that one
+    subparser.  Its usage still lists every subcommand, so a call that names
+    `only` first parses and fails with the same text as on the full parser."""
     parser = argparse.ArgumentParser(
         prog="sollink",
         description="Exact linking numbers of fiber circles in Sol manifolds "
         "and of cycle boundaries over real quadratic fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    if only is not None:
+        # the full parser's usage line, which "unrecognized arguments" prints
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
 
     # tables: csv is allowed and json is the default format
     def cmd(name, help_text, run, *, d=False, tables=False, needs=()):
+        if only is not None and name != only:
+            return
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run, tables=tables)
         if d:
@@ -466,8 +489,13 @@ def _run_self_test(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
+    argv = _join_signed_values(sys.argv[1:] if argv is None else argv)
+    # a call that names its subcommand first builds only that subparser; any
+    # other argv gets the full parser, as the metavar would change the
+    # "argument command:" of its errors
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
+        args = _build_parser(only).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.format is None:

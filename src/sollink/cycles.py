@@ -47,7 +47,7 @@ def boundary_components(field: FieldData, n) -> list[BoundaryComponent]:
         # a + b*w is totally positive iff its trace and its norm are positive
         if not (2 * a + s0 * b > 0 and a * a + s0 * a * b + n0 * b * b > 0):
             raise ConsistencyError("primitive direction escaped the lattice")
-        out.append(BoundaryComponent(cls=cls, multiplicity=mult, fiber_label=field.element(a, b)))
+        out.append(BoundaryComponent(cls=cls, multiplicity=mult, fiber_label=QuadElem(field, a, b)))
     return out
 
 
@@ -86,6 +86,7 @@ def _link_cells(field: FieldData, comps: dict, ns, ms) -> dict:
         reps = [c.cls.rep for c in cs]
         coords[k] = (sum(r.a for r in reps), sum(r.b for r in reps))
     _, gc, den = _unit_ints(field)
+    doubled = [(m, 2 * coords[m][0], 2 * coords[m][1]) for m in ms]
     out = {}
     # every cell has the denominator den, so its numerator fixes its value; a
     # norm without classes zeroes a whole row and column, so few values repeat
@@ -93,9 +94,8 @@ def _link_cells(field: FieldData, comps: dict, ns, ms) -> dict:
     values = {}
     for n in ns:
         p, q = _mul(field, coords[n], gc)
-        for m in ms:
-            a, b = coords[m]
-            num = 2 * (q * a - p * b)
+        for m, a2, b2 in doubled:
+            num = q * a2 - p * b2
             value = values.get(num)
             if value is None:
                 value = values[num] = Fraction(num, den)
@@ -135,6 +135,9 @@ def link_boundary_closed(field: FieldData, n) -> Fraction:
 
 @dataclass(frozen=True)
 class LinkTable:
+    """Lk(C_n, C_m) over Q(sqrt(d)) for all n, m <= nmax, keyed (n, m) with n
+    the outer index; n_det = 2 - Tr(eps) is the gluing's N_det."""
+
     d: int
     nmax: int
     n_det: int

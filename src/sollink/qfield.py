@@ -378,5 +378,6 @@ def enumerate_norm_classes(field: FieldData, n: Rat) -> list[NormClass]:
                 continue
             coords.append(((t - s0 * b) // 2, b))
     coords.sort()
-    return [NormClass(rep=field.element(a, b)) for a, b in coords]
+    # the scan built a and b as ints, so the reps skip element()'s checks
+    return [NormClass(QuadElem(field, a, b)) for a, b in coords]
 

@@ -199,6 +199,11 @@ def _check_k_range(k_range: int) -> None:
 
 @dataclass(frozen=True)
 class WEvalParams:
+    """eval_W's inputs: tau in the upper half plane, the unit-power range
+    |k| <= k_range of the orbit-minimum coefficients, the half-width box of
+    the lattice, and the last holomorphic coefficient n_cut.  Values out of
+    range raise InputError when the parameters are built."""
+
     tau: complex
     k_range: int = 40
     box: int = 12
@@ -234,6 +239,10 @@ def _holomorphic_coeffs(field: FieldData, k_range: int, n_cut: int) -> tuple:
 
 @dataclass(frozen=True)
 class WEvalReport:
+    """eval_W at one tau: the truncated holomorphic sum and the
+    non-holomorphic lattice sum, each with a heuristic tail estimate; total is
+    their sum."""
+
     holomorphic: complex
     beta_part: complex
     holo_tail: float

@@ -15,11 +15,13 @@ areas have closed forms: <offset, a> for the parallelogram, the integer
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConsistencyError, InputError
-from .qfield import FieldData
+
+if TYPE_CHECKING:  # an annotation only: sol runs without loading qfield
+    from .qfield import FieldData
 
 Vec = tuple[int, int]
 QVec = tuple[int | Fraction, int | Fraction]
@@ -54,13 +56,12 @@ def _primitive(v: Vec) -> tuple[Vec, int]:
 def _int_pair(v, what: str, kinds=int) -> Vec:
     """A class or a gluing row: exactly two entries, each an int.  An offset
     passes kinds=(int, Fraction)."""
-    if not isinstance(v, (tuple, list)) or len(v) != 2 or not all(isinstance(x, kinds) for x in v):
+    if not isinstance(v, (tuple, list)) or len(v) != 2 or not (isinstance(v[0], kinds) and isinstance(v[1], kinds)):
         raise InputError(f"{what} must be two {'integers' if kinds is int else 'ints or Fractions'}, got {v!r}")
     return (v[0], v[1])
 
 
-@dataclass(frozen=True)
-class SolManifold:
+class SolManifold(NamedTuple):
     f: IntMat
     n_det: int  # det(f^{-1} - I) = 2 - trace(f)
 
@@ -102,8 +103,7 @@ def link_fiber(m: SolManifold, a, b) -> Fraction:
     return Fraction(_det2(_gamma0(m, a), b), m.n_det)
 
 
-@dataclass(frozen=True)
-class CapChain:
+class CapChain(NamedTuple):
     """Weighted rational 2-chain with boundary a given fiber circle.
 
     Pieces: a parallelogram translating the offset circle to the origin

@@ -18,15 +18,14 @@ returns 0.0, the mean of its two one-sided limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError
 
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class WPoint:
+class WPoint(NamedTuple):
     x2: float
     x3: float
 

@@ -545,6 +545,62 @@ def test_missing_required_flag(capsys):
     assert code == 2
 
 
+# argvs for the lean parser: help, missing and unknown commands, an option
+# before the command, missing and repeated flags, unrecognized arguments, bad
+# types and choices, '--' in several places, and calls that run
+PARSER_ARGVS = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("sol-link", "-h"),
+    ("boundary", "--help"),
+    ("no-such-command",),
+    ("--format", "json", "field-info", "--d", "5"),
+    ("--", "field-info", "--d", "5"),
+    ("sol-link", "--f", "2,1,1,1", "--a", "1,0"),
+    ("lk-table", "--d", "5"),
+    ("sol-link", "--f", "2,1,1,1", "--a", "1,0", "--b", "0,1", "--zzz"),
+    ("field-info", "--d", "5", "extra"),
+    ("boundary", "--d", "five", "--n", "1"),
+    ("self-test", "--seed", "x"),
+    ("field-info", "--d", "5", "--format", "xml"),
+    ("field-info", "--d", "5", "--output"),
+    ("qexp", "--d", "5", "--nmax", "3", "--m"),
+    ("sol-link", "--f", "2,1,1,1", "--a", "1,0", "--a", "0,1", "--b", "0,1"),
+    ("sol-link", "--f", "2,1,1,1", "--a", "1,0", "--b", "0,1", "--"),
+    ("sol-link", "--", "--f", "2,1,1,1"),
+    ("field-info", "--d=--"),
+    ("field-info", "--d", "5", "--format", "csv"),
+    ("sol-cap", "--f", "-2,1,1,-1", "--a", "2,-1", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_lean_parser_matches_the_full_parser(capsys, monkeypatch, argv):
+    """main() builds only the subparser argv[0] names; its stdout, stderr and
+    exit code are those of main() on the full parser."""
+    built = []
+    lean = cli._build_parser
+
+    def recorded(only=None):
+        built.append(only)
+        return lean(only)
+
+    monkeypatch.setattr(cli, "_build_parser", recorded)
+    got = run(capsys, *argv)
+    assert built == [argv[0] if argv and argv[0] in cli._COMMANDS else None]
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: lean())
+    assert got == run(capsys, *argv)
+
+
+def test_command_list_matches_the_full_parser():
+    (sub,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    assert tuple(sub.choices) == cli._COMMANDS
+    for name in cli._COMMANDS:
+        (sub,) = [a for a in cli._build_parser(name)._actions if a.dest == "command"]
+        assert tuple(sub.choices) == (name,)
+
+
 # The CLI's exit-code contract under fuzzed argv and interior files.
 #
 # Each of the ten subcommands runs in-process with flags drawn from bounded

@@ -34,11 +34,22 @@ def test_importing_the_cli_loads_no_layer():
 @pytest.mark.parametrize(
     "argv, runs, skips",
     [
-        (("sol-link", "--f", "2,1,1,1", "--a", "1,0", "--b", "0,1"), {"sol"}, {"cycles", "qseries", "special_fn", "selftest"}),
+        (("sol-link", "--f", "2,1,1,1", "--a", "1,0", "--b", "0,1"), {"sol"}, {"qfield", "cycles", "qseries", "special_fn", "selftest"}),
         (("boundary", "--d", "5", "--n", "4"), {"cycles"}, {"qseries", "special_fn", "selftest"}),
+        (("sol-cap", "--f", "2,1,1,1", "--a", "1,0"), {"sol"}, {"qfield", "cycles", "qseries", "special_fn", "selftest"}),
     ],
 )
 def test_a_subcommand_loads_only_its_layers(argv, runs, skips):
     modules = loaded(*argv)
     assert {f"sollink.{layer}" for layer in runs} <= modules
     assert not modules & {f"sollink.{layer}" for layer in skips}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("sol-link", "--f", "2,1,1,1", "--a", "1,0", "--b", "0,1"), ("sol-cap", "--f", "2,1,1,1", "--a", "1,0")],
+    ids=["sol-link", "sol-cap"],
+)
+def test_sol_commands_load_no_dataclasses(argv):
+    # the Sol records are NamedTuples and sol does not import qfield
+    assert "dataclasses" not in loaded(*argv)

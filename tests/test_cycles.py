@@ -62,6 +62,18 @@ def test_boundary_components_match_fraction_route(d):
             assert c.fiber_label.is_totally_positive()
 
 
+@pytest.mark.parametrize("d", [2, 5, 13, 17, 94])
+def test_reps_and_fiber_labels_match_the_public_constructor(d):
+    # the library builds these elements without element()'s checks
+    f = field(d)
+    for n in range(1, 31):
+        for c in boundary_components(f, n):
+            for x in (c.cls.rep, c.fiber_label):
+                assert type(x.a) is int and type(x.b) is int
+                built = f.element(x.a, x.b)
+                assert x == built and repr(x) == repr(built) and hash(x) == hash(built)
+
+
 def test_symplectic_pairing(field5):
     w = field5.omega
     one = field5.element(1)

@@ -228,3 +228,47 @@ def test_cap_closure_property(seed, a, off):
     cap = build_cap(m, a, offset=(Fraction(off[0], 7), Fraction(off[1], 7)))
     assert area_period(cap) == 0
     assert boundary_cycle(cap) == expected_boundary(cap)
+
+
+# Records as they read at the commit where they were frozen dataclasses: repr,
+# equality, hashing by the field tuple, and no assignment to a field.
+SOL_FIELDS = ("f", "n_det")
+CAP_FIELDS = (
+    "circle_class",
+    "base_offset",
+    "parallelogram",
+    "triangle",
+    "monodromy_class",
+    "weight",
+    "fiber_correction",
+    "f",
+)
+RECORD_REPRS = {
+    ((1, 2), (0, 0)): "CapChain(circle_class=(1, 2), base_offset=(0, 0), "
+    "parallelogram=((0, 0), (0, 0), (1, 2), (1, 2)), triangle=((0, 0), (3, 1), (2, -1)), "
+    "monodromy_class=(3, 1), weight=Fraction(-1, 1), fiber_correction=Fraction(-5, 2), f=((2, 1), (1, 1)))",
+    ((0, 0), (0, 0)): "CapChain(circle_class=(0, 0), base_offset=(0, 0), parallelogram=(), triangle=(), "
+    "monodromy_class=(0, 0), weight=Fraction(-1, 1), fiber_correction=Fraction(0, 1), f=((2, 1), (1, 1)))",
+    ((3, -1), (Fraction(1, 3), 0)): "CapChain(circle_class=(3, -1), base_offset=(Fraction(1, 3), 0), "
+    "parallelogram=((0, 0), (Fraction(1, 3), 0), (Fraction(10, 3), -1), (3, -1)), "
+    "triangle=((0, 0), (2, 3), (-1, 4)), monodromy_class=(2, 3), weight=Fraction(-1, 1), "
+    "fiber_correction=Fraction(35, 6), f=((2, 1), (1, 1)))",
+}
+
+
+def _check_record(record, fields, rebuilt, other):
+    assert record == rebuilt and record != other
+    assert hash(record) == hash(rebuilt) == hash(tuple(getattr(record, name) for name in fields))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_sol_records_are_pinned():
+    m = make_sol(F_EXAMPLE)
+    assert repr(m) == "SolManifold(f=((2, 1), (1, 1)), n_det=-1)"
+    _check_record(m, SOL_FIELDS, make_sol(F_EXAMPLE), make_sol(((3, 1), (2, 1))))
+    for (a, offset), text in RECORD_REPRS.items():
+        cap = build_cap(m, a, offset)
+        assert repr(cap) == text
+        _check_record(cap, CAP_FIELDS, build_cap(m, a, offset), build_cap(m, (1, 1), offset))

@@ -90,6 +90,16 @@ def test_beta_scaled_branches():
         beta_scaled(-2.0)
 
 
+def test_wpoint_is_pinned():
+    p = WPoint(1.25, -0.75)
+    assert repr(p) == "WPoint(x2=1.25, x3=-0.75)"
+    assert p == WPoint(1.25, -0.75) and p != WPoint(1.25, 0.75)
+    assert hash(p) == hash(WPoint(1.25, -0.75)) == hash((1.25, -0.75))
+    for name in ("x2", "x3"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0.0)
+
+
 def test_quad_form_and_orbit():
     p = WPoint(1.25, -0.75)
     assert quad_form(p) == pytest.approx(1.25**2 - 0.75**2, abs=1e-15)
