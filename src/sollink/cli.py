@@ -42,28 +42,29 @@ def _parse_ints(text: str, count: int, flag: str) -> tuple:
         raise InputError(f"{flag} needs integers, got {text!r}") from None
 
 
-# A-priori work caps.  Norm n counts _scan_length(field, n), the length of the
-# b range in enumerate_norm_classes; at about 280 ns per b the budget is about
-# 8 s.  The residue wheel visits only part of that range, so the count is an
-# upper bound; it is kept as it is so that no exit code moves.
-# lk-table renders one line per cell.
+# A-priori work caps.  Norm n counts the b its norm-class scan visits after the
+# residue wheel (the visits of qfield._sieve_plan: residues times steps per
+# residue), and at least 1, so that a loop over many norms stops within the
+# budget.  The residue table checks each visited b with one byte lookup and
+# passes few of them to isqrt, so a visit costs about 0.1-0.15 us and the
+# budget is a few seconds of scanning.  lk-table renders one line per cell.
 _SCAN_BUDGET = 3 * 10**7
 _CELLS_MAX = 10**6
 
 
 def _check_scan_budget(field, nmax: int, m: int = 0) -> None:
     """InputError when the b-scans over the norms 1..nmax and m exceed
-    _SCAN_BUDGET steps; norms below 1 are left to the library's checks."""
+    _SCAN_BUDGET visits; norms below 1 are left to the library's checks."""
     import itertools
 
-    from .qfield import _scan_length
+    from .qfield import _scan_length, _sieve_plan
 
     top = max(nmax, m)
-    # every norm costs at least one step, so the loop stops within the budget
     norms = itertools.chain(range(1, nmax + 1), [m] if m > max(nmax, 0) else [])
     steps = 0
     for n in norms:
-        steps += _scan_length(field, n)
+        _, visits, _ = _sieve_plan(field.disc, 4 * n, _scan_length(field, n))
+        steps += max(visits, 1)
         if steps > _SCAN_BUDGET:
             raise InputError(f"norm-class scans up to n = {top} at d = {field.d} need more than {_SCAN_BUDGET} steps")
 

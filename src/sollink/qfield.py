@@ -9,6 +9,7 @@ consulted for sign tests, reduction, or enumeration.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -293,32 +294,93 @@ def _scan_length(field: FieldData, n: int) -> int:
     return math.isqrt(n * (field.eps_sq[0] - 2) // field.disc) + 1
 
 
-# Prime powers the wheel folds in, in this order, and the squares mod each.
+# Prime powers the wheel folds in, in this order; no wheel holds more residues
+# than _WHEEL_MAX.
 _WHEEL_MODULI = (64, 9, 5, 7, 11, 13, 17)
-_SQUARES = {q: frozenset(x * x % q for x in range(q)) for q in _WHEEL_MODULI}
-# No wheel holds more residues than this.
 _WHEEL_MAX = 1 << 16
+# Primes the residue table draws on, in this order, skipping those in the
+# wheel; its modulus stays within _TABLE_MAX, and as the wheel holds at most
+# 11, 13 and 17, a prime past 29 would never join (19*23*29*31 > 2^17).
+_TABLE_PRIMES = (11, 13, 17, 19, 23, 29)
+_TABLE_MAX = 1 << 17
+# The squares modulo each modulus of either stage.
+_SQUARES = {q: frozenset(x * x % q for x in range(q)) for q in {*_WHEEL_MODULI, *_TABLE_PRIMES}}
 
 
-def _wheel(disc: int, n4: int, length: int) -> tuple[list[int], int]:
-    """(residues, M): the b mod M for which disc*b^2 + n4 is a square modulo
-    every factor q of M.
+@functools.lru_cache(maxsize=256)
+def _admissible(q: int, disc_q: int, n4_q: int) -> tuple[int, ...]:
+    """The x mod q for which disc*x^2 + n4 is a square modulo q, given disc
+    and n4 reduced mod q.  One field takes at most q values of n4 mod q per
+    modulus, so the CLI budget, which plans a scan for each of up to 10^5 or
+    more norms of one field, hits the cache after the first few."""
+    squares = _SQUARES[q]
+    return tuple(x for x in range(q) if (disc_q * x * x + n4_q) % q in squares)
 
-    Factors fold in while the scan has at least 4*M*q steps, so a short scan
-    keeps the plain wheel ([0], 1), and while the list stays within _WHEEL_MAX.
+
+def _sieve_plan(disc: int, n4: int, length: int) -> tuple[list[tuple[int, tuple[int, ...]]], int, list[int]]:
+    """(wheel, visits, table): the two sieve stages of a b-scan of the given
+    length for t^2 = disc*b^2 + n4.
+
+    wheel lists the moduli q the residue wheel folds in, each with its
+    admissible residues (_admissible); they fold in while the scan has at
+    least 4*M*q steps, M the product so far, so a short scan keeps the plain
+    wheel, and while the CRT list stays within _WHEEL_MAX residues.  visits,
+    the residue count times ceil(length/M), bounds the b the wheel visits.
+    table lists the primes of the residue table, those of _TABLE_PRIMES that
+    do not divide M, taken while their product Q stays within _TABLE_MAX and
+    within visits, so the table is never longer than the scan it filters; a
+    scan the wheel leaves alone (M = 1) gets no table.
     """
-    residues, m = [0], 1
+    wheel, m, count = [], 1, 1
     for q in _WHEEL_MODULI:
         if 4 * m * q > length:
             break
-        ok = [s for s in range(q) if (disc * s * s + n4) % q in _SQUARES[q]]
-        if len(residues) * len(ok) > _WHEEL_MAX:
+        ok = _admissible(q, disc % q, n4 % q)
+        if count * len(ok) > _WHEEL_MAX:
             break
+        wheel.append((q, ok))
+        m *= q
+        count *= len(ok)
+    visits = count * -(-length // m)
+    table, q_mod = [], 1
+    if m > 1:
+        cap = min(_TABLE_MAX, visits)
+        for p in _TABLE_PRIMES:
+            if m % p == 0:
+                continue
+            if q_mod * p > cap:
+                break
+            table.append(p)
+            q_mod *= p
+    return wheel, visits, table
+
+
+def _wheel(wheel: list[tuple[int, tuple[int, ...]]]) -> tuple[list[int], int]:
+    """(residues, M) for a plan's wheel: M is the product of its moduli and the
+    residues, by CRT, are the b mod M admissible modulo each of them."""
+    residues, m = [0], 1
+    for q, ok in wheel:
         # CRT: x = r mod m and x = s mod q give x = r + m*((s - r)/m mod q)
         inv = pow(m, -1, q)
         residues = [r + m * ((s - r) * inv % q) for r in residues for s in ok]
         m *= q
     return residues, m
+
+
+def _residue_table(disc: int, n4: int, primes: list[int]) -> tuple[bytearray, int]:
+    """(ok, Q): Q is the product of the primes, and ok[x] is 1 iff
+    disc*x^2 + n4 is a square modulo each of them, for 0 <= x < Q.
+
+    Each residue class s mod p that is not admissible is zeroed by one
+    strided slice assignment, so the table is built at C speed.
+    """
+    q_mod = math.prod(primes)
+    ok = bytearray(b"\x01") * q_mod
+    for p in primes:
+        zeros = bytes(q_mod // p)
+        for s in set(range(p)).difference(_admissible(p, disc % p, n4 % p)):
+            ok[s::p] = zeros
+    return ok, q_mod
 
 
 def _check_norm(n) -> None:
@@ -347,12 +409,23 @@ def enumerate_norm_classes(field: FieldData, n: Rat) -> list[NormClass]:
       and Q = U*t - T*b - 2b; its sign is decided exactly on integers.
       b >= 0 gives the other bound x >= x'.
 
-    The scan is sieved by a residue wheel (_wheel): it visits only the b whose
-    class mod M makes disc*b^2 + 4n a square modulo each prime power factor of
-    M, for M dividing 64*9*5*7*11*13*17.  A perfect square is a square modulo
-    every q, so no b the plain scan accepts is skipped, and the output is the
-    same.  Factors fold in only while the scan is at least 4*M*q long, so short
-    scans run unsieved, and the residue list is capped at _WHEEL_MAX entries.
+    The scan is sieved in two stages, planned by _sieve_plan:
+
+    1. A residue wheel (_wheel) visits only the b whose class mod M makes
+       disc*b^2 + 4n a square modulo each prime power factor of M, for M
+       dividing 64*9*5*7*11*13*17.  Factors fold in only while the scan is at
+       least 4*M*q long, so scans shorter than 256 run unsieved, and the
+       residue list is capped at _WHEEL_MAX entries.
+    2. A residue table (_residue_table) modulo Q, a product of the primes from
+       11 to 29 that M leaves out, passes on to the square test only the
+       visited b with ok[b % Q] = 1, that is with disc*b^2 + 4n a square
+       modulo each prime of Q.  Q stays within 2^17 and within the number of
+       b the wheel visits, so building the table costs less than the scan it
+       filters; a scan the wheel leaves alone gets no table.
+
+    Both stages are exhaustive: a perfect square is a square modulo every
+    modulus, so no b the plain scan accepts is skipped, and the output is the
+    same as the unsieved scan's.
     """
     _check_norm(n)
     if n <= 0:
@@ -365,18 +438,24 @@ def enumerate_norm_classes(field: FieldData, n: Rat) -> list[NormClass]:
     big_t, big_u = field.eps_sq
     n4 = 4 * n
     length = _scan_length(field, n)
-    residues, step = _wheel(disc, n4, length)
+    wheel, _, primes = _sieve_plan(disc, n4, length)
+    bs = range(length)
+    if wheel:
+        residues, step = _wheel(wheel)
+        bs = itertools.chain.from_iterable(range(r, length, step) for r in residues)
+    if primes:
+        ok, q_mod = _residue_table(disc, n4, primes)
+        bs = (b for b in bs if ok[b % q_mod])
     coords = []
-    for r in residues:
-        for b in range(r, length, step):
-            t_sq = disc * b * b + n4
-            t = math.isqrt(t_sq)
-            if t * t != t_sq or (t - s0 * b) % 2:
-                continue
-            # exclude the ratio eps^2 itself: the domain is half open
-            if _sign(big_t * t - big_u * b * disc - 2 * t, big_u * t - big_t * b - 2 * b, disc) <= 0:
-                continue
-            coords.append(((t - s0 * b) // 2, b))
+    for b in bs:
+        t_sq = disc * b * b + n4
+        t = math.isqrt(t_sq)
+        if t * t != t_sq or (t - s0 * b) % 2:
+            continue
+        # exclude the ratio eps^2 itself: the domain is half open
+        if _sign(big_t * t - big_u * b * disc - 2 * t, big_u * t - big_t * b - 2 * b, disc) <= 0:
+            continue
+        coords.append(((t - s0 * b) // 2, b))
     coords.sort()
     # the scan built a and b as ints, so the reps skip element()'s checks
     return [NormClass(QuadElem(field, a, b)) for a, b in coords]

@@ -354,14 +354,17 @@ def test_w_eval_rejects_oversized_truncation(capsys, flag, value, message):
     assert (code, out) == (2, "") and err == f"error: {message}, got {value}\n"
 
 
+# The budget counts the b the residue wheel visits: 1.3e26 at d=991, n=1 (a
+# b range of 1.2e28), 1.4e8 for lk-table d=151 up to nmax 20, 3.8e8 up to
+# n = 40, 4.5e13 for m = 10^30 at d=5.
 OVER_BUDGET = {
-    ("boundary", "--d", "151", "--n", "1"): "need more than 30000000 steps",
+    ("boundary", "--d", "991", "--n", "1"): "need more than 30000000 steps",
     ("lk-table", "--d", "94", "--nmax", "2000"): "gives 4000000 cells, more than 1000000",
-    ("lk-table", "--d", "94", "--nmax", "200"): "need more than 30000000 steps",
+    ("lk-table", "--d", "151", "--nmax", "20"): "need more than 30000000 steps",
     ("qexp", "--d", "5", "--nmax", str(10**18)): "need more than 30000000 steps",
-    ("qexp", "--d", "5", "--nmax", "3", "--m", str(10**16)): "need more than 30000000 steps",
-    ("ratio-test", "--d", "94", "--nmax", "100"): "need more than 30000000 steps",
-    ("w-eval", "--d", "94", "--tau", "0+1i", "--n-cut", "40"): "need more than 30000000 steps",
+    ("qexp", "--d", "5", "--nmax", "3", "--m", str(10**30)): "need more than 30000000 steps",
+    ("ratio-test", "--d", "151", "--nmax", "40"): "need more than 30000000 steps",
+    ("w-eval", "--d", "151", "--tau", "0+1i", "--n-cut", "40"): "need more than 30000000 steps",
 }
 
 
@@ -376,9 +379,17 @@ def test_over_budget_scans_exit_2_at_once(capsys, argv):
 
 def test_combine_counts_the_table_m_in_the_budget(tmp_path, capsys):
     table = tmp_path / "interior.json"
-    table.write_text(json.dumps({"m": 10**16, "entries": {"1": "0"}}), encoding="utf-8")
+    table.write_text(json.dumps({"m": 10**30, "entries": {"1": "0"}}), encoding="utf-8")
     code, out, err = run(capsys, "combine", "--d", "5", "--interior", str(table), "--nmax", "1")
-    assert (code, out) == (2, "") and "up to n = 10000000000000000" in err
+    assert (code, out) == (2, "") and f"up to n = {10**30}" in err
+
+
+def test_budget_charges_the_visited_b_not_the_b_range(capsys):
+    # the b range at d=151, n=1 has 1.4e8 values, the wheel visits 2.1e6 of
+    # them; 1 is the only totally positive unit in the domain
+    code, out, err = run(capsys, "boundary", "--d", "151", "--n", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert [c["rep"] for c in json.loads(out)["components"]] == ["1"]
 
 
 def test_ratio_test_rejects_oversized_k_range(capsys):
@@ -609,8 +620,9 @@ def test_command_list_matches_the_full_parser():
 # tables.  Every call must return 0 or 2 (1 is a failed cross-check), raise
 # nothing, print nothing to stdout on exit 2, print no nan or inf on exit 0,
 # and finish within CALL_BUDGET_S.  The draws keep each call far below the
-# 8 s scan budget: d stays small, and large norms are drawn only well past
-# the budget, where the CLI exits 2 at once.
+# scan budget: d stays small, and large norms are drawn only well past the
+# budget, where the CLI exits 2 at once (m = 10^30, and n = 10^20; at
+# m = 10^16 the wheel visits 8e5-8e7 b, under the budget for most d).
 
 CALL_BUDGET_S = 3.0
 NONFINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
@@ -683,7 +695,7 @@ INTERIOR_VALID = {"m": 1, "entries": {str(n): f"{n}/3" for n in range(1, 13)}}
 INTERIOR_FILES = [
     json.dumps(INTERIOR_VALID),
     json.dumps({**INTERIOR_VALID, "m": 4, "provenance": "fuzz"}),
-    json.dumps({**INTERIOR_VALID, "m": 10**16}),
+    json.dumps({**INTERIOR_VALID, "m": 10**30}),
     json.dumps({**INTERIOR_VALID, "m": 0}),
     json.dumps({**INTERIOR_VALID, "m": 1.0}),
     json.dumps({**INTERIOR_VALID, "m": True}),
@@ -729,7 +741,7 @@ def flags_for(command, interior_paths):
         "boundary": [flag("--d", D), flag("--n", ints(-3, 60, 10**6, 10**20))],
         # the cells cap itself (nmax 1000) renders 10^6 lines in about 5 s
         "lk-table": [flag("--d", D), flag("--nmax", ints(-2, 12, 1001, 10**9))],
-        "qexp": [flag("--d", D), flag("--nmax", ints(-2, 40, 10**9)), flag("--m", ints(-2, 40, 10**16), True)],
+        "qexp": [flag("--d", D), flag("--nmax", ints(-2, 40, 10**9)), flag("--m", ints(-2, 40, 10**30), True)],
         "w-eval": [
             flag("--d", D),
             TAU_AND_BOX,

@@ -16,7 +16,15 @@ from sollink import (
     make_field,
     reduce_totally_positive,
 )
-from sollink.qfield import _WHEEL_MODULI, _wheel
+from sollink.qfield import (
+    _TABLE_MAX,
+    _TABLE_PRIMES,
+    _WHEEL_MODULI,
+    _residue_table,
+    _scan_length,
+    _sieve_plan,
+    _wheel,
+)
 from conftest import field
 from oracles import brute_force_norm_solutions, enumerate_norm_classes_reference, pell_units
 
@@ -201,6 +209,11 @@ def test_eps_sq_coordinates(d):
     assert f.element((big_t - f.s0 * big_u) // 2, big_u) == f.eps * f.eps
 
 
+# (d, n) at which the residue table engages and one of its primes divides
+# disc or n: 11 | disc = 4*209, n = 11*19 and n = 11^2 with 13 | disc = 247
+TABLE_PAIRS = ((209, 23), (58, 209), (247, 121))
+
+
 # The reference scans every b: 2.2e5 of them at d=94, n=1 and 1.7e6 at n=60,
 # so the large-unit fields take a few norms: at d=94 empty, two classes and
 # the squares 4 and 9; at the others (n=1 scans 1.1e5-3.3e5) n = 1 and 8
@@ -208,11 +221,15 @@ def test_eps_sq_coordinates(d):
     "d, ns",
     [pytest.param(d, range(1, 61), id=str(d)) for d in (2, 3, 5, 13, 17, 21, 46)]
     + [pytest.param(94, (1, 2, 3, 4, 5, 9), id="94")]
-    + [pytest.param(d, (1, 8), id=str(d)) for d in (89, 113, 179, 251, 389)],
+    + [pytest.param(d, (1, 8), id=str(d)) for d in (89, 113, 179, 251, 389)]
+    + [pytest.param(d, (n,), id=f"{d}-{n}") for d, n in TABLE_PAIRS],
 )
 def test_enumeration_matches_fraction_reference(d, ns):
     f = field(d)
     for n in ns:
+        if (d, n) in TABLE_PAIRS:
+            _, _, primes = _sieve_plan(f.disc, 4 * n, _scan_length(f, n))
+            assert math.prod(primes) > 1, f"no residue table at d={d} n={n}"
         got, want = enumerate_norm_classes(f, n), enumerate_norm_classes_reference(f, n)
         assert got == want and repr(got) == repr(want), f"d={d} n={n}"
 
@@ -269,8 +286,73 @@ def test_wheel_keeps_every_solution(sol):
     # which changes at 4 times each prefix product of the moduli
     prefixes = [math.prod(_WHEEL_MODULI[:k]) for k in range(len(_WHEEL_MODULI) + 1)]
     for length in {max(b + 1, 4 * m) for m in prefixes}:
-        residues, m = _wheel(disc, n4, length)
+        residues, m = _wheel(_sieve_plan(disc, n4, length)[0])
         assert b % m in set(residues), (d, n4 // 4, b, length)
+
+
+def _table_choices():
+    """Every prime list the residue table can take: for each wheel modulus M,
+    a nonempty prefix of the table primes prime to M with product at most
+    _TABLE_MAX."""
+    choices = set()
+    for k in range(len(_WHEEL_MODULI) + 1):
+        m = math.prod(_WHEEL_MODULI[:k])
+        free = [p for p in _TABLE_PRIMES if m % p]
+        for j in range(1, len(free) + 1):
+            if math.prod(free[:j]) <= _TABLE_MAX:
+                choices.add(tuple(free[:j]))
+    return choices
+
+
+TABLE_CHOICES = _table_choices()
+
+
+def test_table_choices_cover_the_plan():
+    # every plan over a grid of norms and lengths picks one of TABLE_CHOICES;
+    # the largest are 11*13*17*19 and 13*17*19*23
+    assert max(map(math.prod, TABLE_CHOICES)) == 13 * 17 * 19 * 23
+    for d in (5, 94, 151, 209):
+        disc = field(d).disc
+        for n in (1, 2, 9, 11, 2431):
+            for length in (255, 256, 3000, 10**5, 10**7, 10**9, 10**12):
+                _, visits, primes = _sieve_plan(disc, 4 * n, length)
+                assert not primes or tuple(primes) in TABLE_CHOICES
+                assert math.prod(primes) <= max(visits, 1)
+
+
+# explicit n divisible by table primes and discs sharing primes with them,
+# with b divisible by 11 in the last
+@given(norm_solutions())
+@example((389, 3, 115))  # n = 2431 = 11*13*17
+@example((389, 5, 441))  # n = 46189 = 11*13*17*19
+@example((23, 2, 46))  # n = 437 = 19*23, disc = 4*23
+@example((209, 96, 1406))  # n = 12673 = 19*23*29, disc = 4*11*19
+@example((143, 1, 44))  # n = 341 = 11*31, disc = 4*11*13
+@example((437, 1, 57))  # n = 703 = 19*37, disc = 19*23
+@example((143, 11, 286))  # n = 3146 = 2*11^2*13, b = 11
+@settings(max_examples=40, deadline=None)
+def test_residue_table_keeps_every_solution(sol):
+    d, b, t = sol
+    disc = field(d).disc
+    n4 = t * t - disc * b * b
+    assert n4 > 0 and n4 % 4 == 0
+    for primes in TABLE_CHOICES:
+        ok, q_mod = _residue_table(disc, n4, list(primes))
+        assert len(ok) == q_mod == math.prod(primes)
+        assert ok[b % q_mod] == 1, (d, n4 // 4, b, primes)
+
+
+def test_residue_table_marks_exactly_the_admissible_residues():
+    # against a direct test of each x: disc*x^2 + n4 a square modulo each prime
+    for d, n in ((5, 1), (143, 2431), (209, 437), (94, 9)):
+        disc, n4 = field(d).disc, 4 * n
+        for primes in ((11,), (11, 13), (17, 19), (13, 17, 19)):
+            ok, q_mod = _residue_table(disc, n4, list(primes))
+            want = [
+                int(all(any((disc * x * x + n4 - y * y) % p == 0 for y in range(p)) for p in primes))
+                for x in range(q_mod)
+            ]
+            assert list(ok) == want, (d, n, primes)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 13, 17, 21, 46])
