@@ -44,17 +44,22 @@ def _parse_ints(text: str, count: int, flag: str) -> tuple:
 
 # A-priori work caps.  Norm n counts the b its norm-class scan visits after the
 # residue wheel (the visits of qfield._sieve_plan: residues times steps per
-# residue), and at least 1, so that a loop over many norms stops within the
-# budget.  The residue table checks each visited b with one byte lookup and
-# passes few of them to isqrt, so a visit costs about 0.1-0.15 us and the
-# budget is a few seconds of scanning.  lk-table renders one line per cell.
+# residue) plus _NORM_COST, and never more than its whole b range, so a short
+# scan counts as the plain scan it is.  _NORM_COST stands for what a norm costs
+# whatever it visits: its sieve plan, CRT list and residue table (about 10 us,
+# some 60 visits), and the subcommand's own per-norm work (ratio-test's series
+# coefficient, about 90 us at d=13).  A visit costs about 0.15-0.2 us, so the
+# largest inputs the budget accepts run several seconds (qexp and ratio-test
+# up to nmax 71060 at d=13: 3.6 and 9.3 s on a shared 2-core machine).
+# lk-table renders one line per cell.
 _SCAN_BUDGET = 3 * 10**7
+_NORM_COST = 256
 _CELLS_MAX = 10**6
 
 
 def _check_scan_budget(field, nmax: int, m: int = 0) -> None:
     """InputError when the b-scans over the norms 1..nmax and m exceed
-    _SCAN_BUDGET visits; norms below 1 are left to the library's checks."""
+    _SCAN_BUDGET steps; norms below 1 are left to the library's checks."""
     import itertools
 
     from .qfield import _scan_length, _sieve_plan
@@ -63,8 +68,9 @@ def _check_scan_budget(field, nmax: int, m: int = 0) -> None:
     norms = itertools.chain(range(1, nmax + 1), [m] if m > max(nmax, 0) else [])
     steps = 0
     for n in norms:
-        _, visits, _ = _sieve_plan(field.disc, 4 * n, _scan_length(field, n))
-        steps += max(visits, 1)
+        length = _scan_length(field, n)
+        # at least 1 step per norm, so a loop over many norms stops
+        steps += min(length, _sieve_plan(field.disc, 4 * n, length)[1] + _NORM_COST)
         if steps > _SCAN_BUDGET:
             raise InputError(f"norm-class scans up to n = {top} at d = {field.d} need more than {_SCAN_BUDGET} steps")
 

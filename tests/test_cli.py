@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sollink import cli
-from sollink.errors import ConsistencyError
+from sollink.errors import ConsistencyError, InputError
+from sollink.qfield import _scan_length, make_field
 
 
 def run(capsys, *argv):
@@ -354,14 +355,16 @@ def test_w_eval_rejects_oversized_truncation(capsys, flag, value, message):
     assert (code, out) == (2, "") and err == f"error: {message}, got {value}\n"
 
 
-# The budget counts the b the residue wheel visits: 1.3e26 at d=991, n=1 (a
-# b range of 1.2e28), 1.4e8 for lk-table d=151 up to nmax 20, 3.8e8 up to
-# n = 40, 4.5e13 for m = 10^30 at d=5.
+# The budget counts the b the residue wheel visits plus a per-norm charge:
+# 1.3e26 at d=991, n=1 (a b range of 1.2e28), 1.4e8 for lk-table d=151 up to
+# nmax 20, 3.8e8 up to n = 40, 4.5e13 for m = 10^30 at d=5; qexp up to
+# nmax 10^18 stops after 1.3e5 norms at d=5 and 7.1e4 at d=13.
 OVER_BUDGET = {
     ("boundary", "--d", "991", "--n", "1"): "need more than 30000000 steps",
     ("lk-table", "--d", "94", "--nmax", "2000"): "gives 4000000 cells, more than 1000000",
     ("lk-table", "--d", "151", "--nmax", "20"): "need more than 30000000 steps",
     ("qexp", "--d", "5", "--nmax", str(10**18)): "need more than 30000000 steps",
+    ("qexp", "--d", "13", "--nmax", str(10**18)): "need more than 30000000 steps",
     ("qexp", "--d", "5", "--nmax", "3", "--m", str(10**30)): "need more than 30000000 steps",
     ("ratio-test", "--d", "151", "--nmax", "40"): "need more than 30000000 steps",
     ("w-eval", "--d", "151", "--tau", "0+1i", "--n-cut", "40"): "need more than 30000000 steps",
@@ -390,6 +393,27 @@ def test_budget_charges_the_visited_b_not_the_b_range(capsys):
     code, out, err = run(capsys, "boundary", "--d", "151", "--n", "1", "--format", "json")
     assert (code, err) == (0, "")
     assert [c["rep"] for c in json.loads(out)["components"]] == ["1"]
+
+
+def test_budget_charges_each_norm_a_fixed_cost():
+    # the visits alone would let ratio-test at d=13 run up to nmax 111510,
+    # about twice the per-norm work the plain b-range count let through
+    field = make_field(13)
+    cli._check_scan_budget(field, 71060)
+    with pytest.raises(InputError, match="up to n = 71061 at d = 13"):
+        cli._check_scan_budget(field, 71061)
+
+
+@pytest.mark.parametrize("d", [5, 13, 94])
+def test_budget_accepts_what_the_b_range_count_accepts(d):
+    # a norm is never charged more than its b range, so an input within
+    # the budget by that count stays within it
+    field = make_field(d)
+    nmax, steps = 0, 0
+    while steps + _scan_length(field, nmax + 1) <= cli._SCAN_BUDGET:
+        nmax += 1
+        steps += _scan_length(field, nmax)
+    cli._check_scan_budget(field, nmax)
 
 
 def test_ratio_test_rejects_oversized_k_range(capsys):
