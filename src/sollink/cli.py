@@ -5,9 +5,10 @@ identical across runs for identical flags (and seed).  Exit codes: 0 success,
 1 computational inconsistency (a cross-check or exactness assertion failed),
 2 usage error.
 
-Each subcommand imports the layers and stdlib modules it runs when it runs,
-so a call loads only what it uses and a usage error exits before any layer
-is loaded.
+Each subcommand is declared once, by the _command decorator on its handler,
+and imports the layers and stdlib modules it runs when it runs, so a call
+loads only what it uses and a usage error exits before any layer is loaded.
+Handlers render through _render, which loads json only for --format json.
 """
 
 from __future__ import annotations
@@ -98,19 +99,30 @@ def _complex_str(z: complex) -> str:
     return f"{z.real!r} {op} {abs(z.imag)!r}i"
 
 
-# The subcommands, in the order _build_parser adds them.
-_COMMANDS = (
-    "field-info",
-    "sol-link",
-    "sol-cap",
-    "boundary",
-    "lk-table",
-    "qexp",
-    "w-eval",
-    "ratio-test",
-    "combine",
-    "self-test",
-)
+# name -> (help, flags, d, tables, handler), filled by _command in the order
+# the handlers below are declared: the order of the parser's usage and help.
+_COMMANDS: dict[str, tuple] = {}
+
+
+def _command(name: str, help: str, *flags: tuple, d: bool = False, tables: bool = False):
+    """Register the decorated handler as subcommand `name`.  Each flag is an
+    (option, argparse keywords) pair; `d` adds the required --d, and with
+    `tables` csv is allowed and json is the default format."""
+
+    def register(run):
+        _COMMANDS[name] = (help, flags, d, tables, run)
+        return run
+
+    return register
+
+
+def _render(fmt: str, payload, lines) -> str:
+    """`payload` as indented JSON for --format json, else `lines` one a line."""
+    if fmt == "json":
+        import json
+
+        return json.dumps(payload, indent=2) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -126,130 +138,41 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     if only is not None:
         # the full parser's usage line, which "unrecognized arguments" prints
         sub.metavar = "{" + ",".join(_COMMANDS) + "}"
-
-    # tables: csv is allowed and json is the default format
-    def cmd(name, help_text, run, *, d=False, tables=False, needs=()):
-        if only is not None and name != only:
-            return
+    for name in _COMMANDS if only is None else (only,):
+        help_text, flags, d, tables, run = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run, tables=tables)
         if d:
             p.add_argument("--d", type=int, required=True, help="squarefree field discriminant parameter")
-        for flag, kw in needs:
+        for flag, kw in flags:
             p.add_argument(flag, **kw)
         p.add_argument("--output", default=None, help="write output to this file instead of stdout")
         p.add_argument("--format", choices=("json", "csv", "text"), default=None)
-
-    cmd("field-info", "ring, discriminant, and unit data", _run_field_info, d=True)
-    cmd(
-        "sol-link",
-        "exact linking number of two fiber circles",
-        _run_sol_link,
-        needs=(
-            ("--f", dict(required=True, help="gluing matrix a,b,c,d (row major)")),
-            ("--a", dict(required=True, help="first circle class x,y")),
-            ("--b", dict(required=True, help="second circle class u,v")),
-        ),
-    )
-    cmd(
-        "sol-cap",
-        "cap chain for a fiber circle, with closure and oracle checks",
-        _run_sol_cap,
-        needs=(
-            ("--f", dict(required=True, help="gluing matrix a,b,c,d (row major)")),
-            ("--a", dict(required=True, help="circle class x,y")),
-        ),
-    )
-    cmd(
-        "boundary",
-        "boundary circle families of the norm-n cycle",
-        _run_boundary,
-        d=True,
-        needs=(("--n", dict(type=int, required=True, help="cycle norm index")),),
-    )
-    cmd(
-        "lk-table",
-        "all pairwise boundary linking numbers up to nmax",
-        _run_lk_table,
-        d=True,
-        tables=True,
-        needs=(("--nmax", dict(type=int, required=True)),),
-    )
-    cmd(
-        "qexp",
-        "exact q-expansion of boundary linking numbers against a fixed m",
-        _run_qexp,
-        d=True,
-        tables=True,
-        needs=(
-            ("--m", dict(type=int, default=1)),
-            ("--nmax", dict(type=int, required=True)),
-        ),
-    )
-    cmd(
-        "w-eval",
-        "numeric two-part evaluation of the completed series",
-        _run_w_eval,
-        d=True,
-        needs=(
-            ("--tau", dict(required=True, help="upper half plane point, RE+IMi")),
-            ("--k-range", dict(type=int, default=60, dest="k_range")),
-            ("--box", dict(type=int, default=40)),
-            ("--n-cut", dict(type=int, default=20, dest="n_cut")),
-        ),
-    )
-    cmd(
-        "ratio-test",
-        "min-series / linking-number ratios and their spread",
-        _run_ratio_test,
-        d=True,
-        needs=(
-            ("--nmax", dict(type=int, required=True)),
-            ("--k-range", dict(type=int, default=80, dest="k_range")),
-        ),
-    )
-    cmd(
-        "combine",
-        "subtract boundary linking from supplied interior numbers",
-        _run_combine,
-        d=True,
-        tables=True,
-        needs=(
-            ("--interior", dict(required=True, help="interior table JSON file")),
-            ("--nmax", dict(type=int, required=True)),
-            ("--m", dict(type=int, default=None, help="must match the table's m if given")),
-        ),
-    )
-    cmd(
-        "self-test",
-        "run all randomized cross-check suites",
-        _run_self_test,
-        needs=(("--seed", dict(type=int, default=0)),),
-    )
     return parser
 
 
-def _run_field_info(args: argparse.Namespace) -> tuple[int, str]:
-    import json
+_GLUING = ("--f", dict(required=True, help="gluing matrix a,b,c,d (row major)"))
+_NMAX = ("--nmax", dict(type=int, required=True))
 
+
+@_command("field-info", "ring, discriminant, and unit data", d=True)
+def _run_field_info(args: argparse.Namespace) -> tuple[int, str]:
     from . import sol
     from .qfield import make_field
 
     field = make_field(args.d)
     basis = "(1 + sqrt(d))/2" if field.d % 4 == 1 else "sqrt(d)"
     m = sol.glueing_from_unit(field)
-    if args.format == "json":
-        payload = {
-            "d": field.d,
-            "disc": field.disc,
-            "omega": basis,
-            "eps0": str(field.eps0),
-            "eps0_norm": field.eps0_norm,
-            "eps": str(field.eps),
-            "eps_trace": str(field.eps.trace()),
-            "n_det": m.n_det,
-        }
-        return 0, json.dumps(payload, indent=2) + "\n"
+    payload = {
+        "d": field.d,
+        "disc": field.disc,
+        "omega": basis,
+        "eps0": str(field.eps0),
+        "eps0_norm": field.eps0_norm,
+        "eps": str(field.eps),
+        "eps_trace": str(field.eps.trace()),
+        "n_det": m.n_det,
+    }
     lines = [
         f"d: {field.d}",
         f"disc: {field.disc}",
@@ -259,12 +182,17 @@ def _run_field_info(args: argparse.Namespace) -> tuple[int, str]:
         f"unit trace: {field.eps.trace()}",
         f"gluing N_det: {m.n_det}",
     ]
-    return 0, "\n".join(lines) + "\n"
+    return 0, _render(args.format, payload, lines)
 
 
+@_command(
+    "sol-link",
+    "exact linking number of two fiber circles",
+    _GLUING,
+    ("--a", dict(required=True, help="first circle class x,y")),
+    ("--b", dict(required=True, help="second circle class u,v")),
+)
 def _run_sol_link(args: argparse.Namespace) -> tuple[int, str]:
-    import json
-
     from . import sol
 
     f = _parse_ints(args.f, 4, "--f")
@@ -272,17 +200,20 @@ def _run_sol_link(args: argparse.Namespace) -> tuple[int, str]:
     b = _parse_ints(args.b, 2, "--b")
     m = sol.make_sol((f[:2], f[2:]))
     value = sol.link_fiber(m, a, b)
-    if args.format == "json":
-        payload = {"f": list(f), "a": list(a), "b": list(b), "link": str(value)}
-        return 0, json.dumps(payload, indent=2) + "\n"
-    return 0, f"{value}\n"
+    payload = {"f": list(f), "a": list(a), "b": list(b), "link": str(value)}
+    return 0, _render(args.format, payload, [str(value)])
 
 
 _CAP_PROBES = ((1, 0), (0, 1), (1, 1), (2, 1), (1, -2))
 
 
+@_command(
+    "sol-cap",
+    "cap chain for a fiber circle, with closure and oracle checks",
+    _GLUING,
+    ("--a", dict(required=True, help="circle class x,y")),
+)
 def _run_sol_cap(args: argparse.Namespace) -> tuple[int, str]:
-    import json
     from fractions import Fraction
 
     from . import sol
@@ -301,18 +232,17 @@ def _run_sol_cap(args: argparse.Namespace) -> tuple[int, str]:
         counted = sol.cap_intersect(cap, m, probe, Fraction(1, 3))
         if direct != counted:
             raise ConsistencyError(f"oracle mismatch on probe {probe}: {direct} != {counted}")
-    if args.format == "json":
-        payload = {
-            "f": list(f),
-            "circle_class": list(cap.circle_class),
-            "weight": str(cap.weight),
-            "monodromy_class": list(cap.monodromy_class),
-            "fiber_correction": str(cap.fiber_correction),
-            "area_period": str(period),
-            "boundary_check": "ok",
-            "oracle_probes": f"{len(_CAP_PROBES)}/{len(_CAP_PROBES)} agree",
-        }
-        return 0, json.dumps(payload, indent=2) + "\n"
+    probes = f"{len(_CAP_PROBES)}/{len(_CAP_PROBES)} agree"
+    payload = {
+        "f": list(f),
+        "circle_class": list(cap.circle_class),
+        "weight": str(cap.weight),
+        "monodromy_class": list(cap.monodromy_class),
+        "fiber_correction": str(cap.fiber_correction),
+        "area_period": str(period),
+        "boundary_check": "ok",
+        "oracle_probes": probes,
+    }
     lines = [
         f"circle class: {cap.circle_class}",
         f"weight: {cap.weight}",
@@ -320,14 +250,18 @@ def _run_sol_cap(args: argparse.Namespace) -> tuple[int, str]:
         f"fiber correction: {cap.fiber_correction}",
         f"area period: {period}",
         "boundary check: ok",
-        f"oracle probes: {len(_CAP_PROBES)}/{len(_CAP_PROBES)} agree",
+        f"oracle probes: {probes}",
     ]
-    return 0, "\n".join(lines) + "\n"
+    return 0, _render(args.format, payload, lines)
 
 
+@_command(
+    "boundary",
+    "boundary circle families of the norm-n cycle",
+    ("--n", dict(type=int, required=True, help="cycle norm index")),
+    d=True,
+)
 def _run_boundary(args: argparse.Namespace) -> tuple[int, str]:
-    import json
-
     from . import cycles
     from .qfield import make_field
 
@@ -336,33 +270,28 @@ def _run_boundary(args: argparse.Namespace) -> tuple[int, str]:
         raise InputError(f"--n must be >= 1, got {args.n}")
     _check_scan_budget(field, 0, args.n)
     comps = cycles.boundary_components(field, args.n)
-    if args.format == "json":
-        payload = {
-            "d": field.d,
-            "n": args.n,
-            "components": [
-                {
-                    "rep": str(c.cls.rep),
-                    "coords": [str(c.cls.rep.a), str(c.cls.rep.b)],
-                    "multiplicity": c.multiplicity,
-                    "fiber": [str(c.fiber_label.a), str(c.fiber_label.b)],
-                }
-                for c in comps
-            ],
-        }
-        return 0, json.dumps(payload, indent=2) + "\n"
-    if not comps:
-        return 0, f"no norm-{args.n} classes\n"
+    payload = {
+        "d": field.d,
+        "n": args.n,
+        "components": [
+            {
+                "rep": str(c.cls.rep),
+                "coords": [str(c.cls.rep.a), str(c.cls.rep.b)],
+                "multiplicity": c.multiplicity,
+                "fiber": [str(c.fiber_label.a), str(c.fiber_label.b)],
+            }
+            for c in comps
+        ],
+    }
     lines = [
         f"class {c.cls.rep}  multiplicity {c.multiplicity}  fiber ({c.fiber_label.a}, {c.fiber_label.b})"
         for c in comps
     ]
-    return 0, "\n".join(lines) + "\n"
+    return 0, _render(args.format, payload, lines or [f"no norm-{args.n} classes"])
 
 
+@_command("lk-table", "all pairwise boundary linking numbers up to nmax", _NMAX, d=True, tables=True)
 def _run_lk_table(args: argparse.Namespace) -> tuple[int, str]:
-    import json
-
     from . import cycles
     from .qfield import make_field
 
@@ -371,20 +300,19 @@ def _run_lk_table(args: argparse.Namespace) -> tuple[int, str]:
         raise InputError(f"--nmax {args.nmax} gives {args.nmax * args.nmax} cells, more than {_CELLS_MAX}")
     _check_scan_budget(field, args.nmax)
     table = cycles.link_table(field, args.nmax)
+    entries = table.entries.items()
+    # up to 10^6 cells: each format builds only the lines or entries it prints
     if args.format == "csv":
-        lines = ["n,m,value"]
-        lines += [f"{n},{m},{v}" for (n, m), v in table.entries.items()]
-        return 0, "\n".join(lines) + "\n"
-    if args.format == "json":
-        payload = {
-            "d": table.d,
-            "nmax": table.nmax,
-            "n_det": table.n_det,
-            "entries": {f"{n},{m}": str(v) for (n, m), v in table.entries.items()},
-        }
-        return 0, json.dumps(payload, indent=2) + "\n"
-    lines = [f"Lk(C{n}, C{m}) = {v}" for (n, m), v in table.entries.items()]
-    return 0, "\n".join(lines) + "\n"
+        return 0, "\n".join(["n,m,value", *(f"{n},{m},{v}" for (n, m), v in entries)]) + "\n"
+    if args.format == "text":
+        return 0, _render("text", None, (f"Lk(C{n}, C{m}) = {v}" for (n, m), v in entries))
+    payload = {
+        "d": table.d,
+        "nmax": table.nmax,
+        "n_det": table.n_det,
+        "entries": {f"{n},{m}": str(v) for (n, m), v in entries},
+    }
+    return 0, _render("json", payload, ())
 
 
 def _render_qexp(q, fmt: str) -> str:
@@ -392,10 +320,17 @@ def _render_qexp(q, fmt: str) -> str:
         return q.to_csv()
     if fmt == "json":
         return q.to_json()
-    lines = [f"q^{n}: {q.coeffs[n]}" for n in range(1, q.nmax + 1)]
-    return "\n".join(lines) + "\n"
+    return _render(fmt, None, (f"q^{n}: {q.coeffs[n]}" for n in range(1, q.nmax + 1)))
 
 
+@_command(
+    "qexp",
+    "exact q-expansion of boundary linking numbers against a fixed m",
+    ("--m", dict(type=int, default=1)),
+    _NMAX,
+    d=True,
+    tables=True,
+)
 def _run_qexp(args: argparse.Namespace) -> tuple[int, str]:
     from . import qseries
     from .qfield import make_field
@@ -406,9 +341,16 @@ def _run_qexp(args: argparse.Namespace) -> tuple[int, str]:
     return 0, _render_qexp(q, args.format)
 
 
+@_command(
+    "w-eval",
+    "numeric two-part evaluation of the completed series",
+    ("--tau", dict(required=True, help="upper half plane point, RE+IMi")),
+    ("--k-range", dict(type=int, default=60, dest="k_range")),
+    ("--box", dict(type=int, default=40)),
+    ("--n-cut", dict(type=int, default=20, dest="n_cut")),
+    d=True,
+)
 def _run_w_eval(args: argparse.Namespace) -> tuple[int, str]:
-    import json
-
     from . import qseries
     from .qfield import make_field
 
@@ -417,17 +359,15 @@ def _run_w_eval(args: argparse.Namespace) -> tuple[int, str]:
     params = qseries.WEvalParams(tau=tau, k_range=args.k_range, box=args.box, n_cut=args.n_cut)
     _check_scan_budget(field, args.n_cut)
     rep = qseries.eval_W(field, params)
-    if args.format == "json":
-        payload = {
-            "d": field.d,
-            "tau": _complex_str(tau),
-            "holomorphic": {"re": rep.holomorphic.real, "im": rep.holomorphic.imag},
-            "beta": {"re": rep.beta_part.real, "im": rep.beta_part.imag},
-            "total": {"re": rep.total.real, "im": rep.total.imag},
-            "holo_tail": rep.holo_tail,
-            "beta_tail": rep.beta_tail,
-        }
-        return 0, json.dumps(payload, indent=2) + "\n"
+    payload = {
+        "d": field.d,
+        "tau": _complex_str(tau),
+        "holomorphic": {"re": rep.holomorphic.real, "im": rep.holomorphic.imag},
+        "beta": {"re": rep.beta_part.real, "im": rep.beta_part.imag},
+        "total": {"re": rep.total.real, "im": rep.total.imag},
+        "holo_tail": rep.holo_tail,
+        "beta_tail": rep.beta_tail,
+    }
     lines = [
         f"tau: {_complex_str(tau)}",
         f"holomorphic: {_complex_str(rep.holomorphic)}",
@@ -436,38 +376,50 @@ def _run_w_eval(args: argparse.Namespace) -> tuple[int, str]:
         f"holo tail estimate: {rep.holo_tail!r}",
         f"beta tail estimate: {rep.beta_tail!r}",
     ]
-    return 0, "\n".join(lines) + "\n"
+    return 0, _render(args.format, payload, lines)
 
 
+@_command(
+    "ratio-test",
+    "min-series / linking-number ratios and their spread",
+    _NMAX,
+    ("--k-range", dict(type=int, default=80, dest="k_range")),
+    d=True,
+)
 def _run_ratio_test(args: argparse.Namespace) -> tuple[int, str]:
-    import json
-
     from . import qseries
     from .qfield import make_field
 
     field = make_field(args.d)
     _check_scan_budget(field, args.nmax)
     report = qseries.holomorphic_ratio_test(field, args.nmax, args.k_range)
-    if args.format == "json":
-        payload = {
-            "d": report.d,
-            "k_range": report.k_range,
-            "ratios": {str(n): report.ratios[n] for n in sorted(report.ratios)},
-            "spread": report.spread,
-            "omitted": list(report.omitted),
-            "inconsistent": list(report.inconsistent),
-        }
-        return 0, json.dumps(payload, indent=2) + "\n"
-    lines = [f"n={n} ratio={report.ratios[n]!r}" for n in sorted(report.ratios)]
+    ratios = sorted(report.ratios.items())
+    payload = {
+        "d": report.d,
+        "k_range": report.k_range,
+        "ratios": {str(n): r for n, r in ratios},
+        "spread": report.spread,
+        "omitted": list(report.omitted),
+        "inconsistent": list(report.inconsistent),
+    }
+    lines = [f"n={n} ratio={r!r}" for n, r in ratios]
     lines.append(f"spread: {report.spread!r}")
     if report.omitted:
         lines.append(f"omitted (zero linking): {', '.join(map(str, report.omitted))}")
     if report.inconsistent:
         lines.append(f"INCONSISTENT (zero linking, nonzero series): {', '.join(map(str, report.inconsistent))}")
-    code = 1 if report.inconsistent else 0
-    return code, "\n".join(lines) + "\n"
+    return (1 if report.inconsistent else 0), _render(args.format, payload, lines)
 
 
+@_command(
+    "combine",
+    "subtract boundary linking from supplied interior numbers",
+    ("--interior", dict(required=True, help="interior table JSON file")),
+    _NMAX,
+    ("--m", dict(type=int, default=None, help="must match the table's m if given")),
+    d=True,
+    tables=True,
+)
 def _run_combine(args: argparse.Namespace) -> tuple[int, str]:
     from . import qseries
     from .qfield import make_field
@@ -485,14 +437,21 @@ def _run_combine(args: argparse.Namespace) -> tuple[int, str]:
     return 0, _render_qexp(q, args.format)
 
 
+@_command("self-test", "run all randomized cross-check suites", ("--seed", dict(type=int, default=0)))
 def _run_self_test(args: argparse.Namespace) -> tuple[int, str]:
     from . import selftest
 
     verdicts = selftest.run_suites(args.seed)
+    passed = sum(1 for _, ok, _ in verdicts if ok)
+    payload = {
+        "seed": args.seed,
+        "suites": [{"name": name, "ok": ok, "detail": detail} for name, ok, detail in verdicts],
+        "passed": passed,
+        "total": len(verdicts),
+    }
     lines = [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in verdicts]
-    failed = sum(1 for _, ok, _ in verdicts if not ok)
-    lines.append(f"{len(verdicts) - failed}/{len(verdicts)} suites passed (seed {args.seed})")
-    return (1 if failed else 0), "\n".join(lines) + "\n"
+    lines.append(f"{passed}/{len(verdicts)} suites passed (seed {args.seed})")
+    return (0 if passed == len(verdicts) else 1), _render(args.format, payload, lines)
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, InputError
 
-Rat = int | Fraction
 
 # Largest accepted d.  Trial division in is_squarefree and the continued
 # fraction in fundamental_unit grow with d: below this bound a field builds in
@@ -387,19 +386,18 @@ def _residue_table(disc: int, n4: int, primes: list[int]) -> tuple[bytearray, in
 
 
 def _check_norm(n) -> None:
-    """InputError unless n is an int or a Fraction; bool is not a norm, and a
-    float or a string is not exact."""
-    if isinstance(n, bool) or not isinstance(n, (int, Fraction)):
-        raise InputError(f"norm must be an int or a Fraction, got {n!r}")
+    """InputError unless n is an int; a bool, a float, a string or a Fraction
+    is not a norm."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InputError(f"norm must be an int, got {n!r}")
 
 
-def enumerate_norm_classes(field: FieldData, n: Rat) -> list[NormClass]:
+def enumerate_norm_classes(field: FieldData, n: int) -> list[NormClass]:
     """All classes of totally positive integers of norm n, one reduced
     representative each, sorted by coordinates.
 
-    n is an int or a Fraction (anything else, bool included, raises
-    InputError); a Fraction that is not an integer has no classes, and an int
-    goes to the scan without a Fraction round trip.
+    n is a positive int; anything else, bool and Fraction included, raises
+    InputError.
 
     A representative x = a + b*w = (t + b*sqrt(disc))/2 in the domain has
     trace t and t^2 = disc*b^2 + 4n with 0 <= b <= sqrt(n*(Tr(eps^2) - 2)/disc),
@@ -433,10 +431,6 @@ def enumerate_norm_classes(field: FieldData, n: Rat) -> list[NormClass]:
     _check_norm(n)
     if n <= 0:
         raise InputError(f"norm must be positive, got {n}")
-    if type(n) is not int:
-        if n.denominator != 1:
-            return []
-        n = int(n)
     disc, s0 = field.disc, field.s0
     big_t, big_u = field.eps_sq
     n4 = 4 * n

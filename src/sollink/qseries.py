@@ -109,8 +109,10 @@ def _orbit_min_sum(field: FieldData, classes, k_range: int) -> float:
     log_eps = math.log(field.eps.embed())
     total = 0.0
     for cls in classes:
-        log_mu = math.log(cls.rep.embed())
-        log_mu_c = math.log(cls.rep.embed(conjugate=True))
+        mu = cls.rep.embed()
+        log_mu = math.log(mu)
+        # mu' = N(mu)/mu: a + b*w' cancels to 0.0 when eps is large
+        log_mu_c = math.log(cls.rep.norm() / mu)
         # min in log space; the min side never overflows
         terms = [math.exp(min(log_mu + k * log_eps, log_mu_c - k * log_eps)) for k in range(-k_range, k_range + 1)]
         for _sign in (1, -1):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from sollink import sol
 from sollink.cycles import boundary_components, link_boundary_closed
 from sollink.errors import ConsistencyError, InputError
-from sollink.qfield import FieldData, NormClass, QuadElem, Rat, enumerate_norm_classes
+from sollink.qfield import FieldData, NormClass, QuadElem, enumerate_norm_classes
 from sollink.special_fn import beta_scaled
 
 _B_CAP = 10**6  # d=94 needs b = 221064; nothing below 100 needs more
@@ -75,8 +75,9 @@ def min_series_coeff_reference(field, n: int, k_range: int) -> float:
     log_eps = math.log(field.eps.embed())
     total = 0.0
     for cls in enumerate_norm_classes(field, n):
-        log_mu = math.log(cls.rep.embed())
-        log_mu_c = math.log(cls.rep.embed(conjugate=True))
+        mu = cls.rep.embed()
+        log_mu = math.log(mu)
+        log_mu_c = math.log(cls.rep.norm() / mu)
         for _sign in (1, -1):
             for k in range(-k_range, k_range + 1):
                 total += math.exp(min(log_mu + k * log_eps, log_mu_c - k * log_eps))
@@ -142,12 +143,11 @@ def enumerate_norm_classes_reference(field, n: int) -> list:
     return out
 
 
-def brute_force_norm_solutions(field: FieldData, n: Rat, bound: int) -> list[QuadElem]:
+def brute_force_norm_solutions(field: FieldData, n: int, bound: int) -> list[QuadElem]:
     """Every totally positive a + b*w with norm n and |a|, |b| <= bound.
 
     Unreduced box search; the oracle counterpart of enumerate_norm_classes.
     """
-    n = Fraction(n)
     if n <= 0:
         raise InputError(f"norm must be positive, got {n}")
     out = []

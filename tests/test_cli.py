@@ -85,6 +85,24 @@ def test_sol_cap_reports_inconsistency(capsys, monkeypatch):
     assert err.startswith("inconsistency:")
 
 
+def test_sol_link_rejects_non_integer_vector(capsys):
+    code, out, err = run(capsys, "sol-link", "--f", "2,1,1,1", "--a", "1,x", "--b", "0,1")
+    assert (code, out, err) == (2, "", "error: --a needs integers, got '1,x'\n")
+
+
+@pytest.mark.parametrize(
+    "target, stub, message",
+    [
+        ("boundary_cycle", lambda cap: {}, "inconsistency: cap boundary does not match the requested circle\n"),
+        ("cap_intersect", lambda *args: 7, "inconsistency: oracle mismatch on probe (1, 0): 1 != 7\n"),
+    ],
+    ids=["boundary", "probe"],
+)
+def test_sol_cap_reports_each_failed_check(capsys, monkeypatch, target, stub, message):
+    monkeypatch.setattr(f"sollink.sol.{target}", stub)
+    assert run(capsys, "sol-cap", "--f", "2,1,1,1", "--a", "1,0") == (1, "", message)
+
+
 def test_boundary_text(capsys):
     code, out, _ = run(capsys, "boundary", "--d", "5", "--n", "4")
     assert code == 0
@@ -242,6 +260,50 @@ GOLDEN_STDOUT = {
         '  "holo_tail": 7.269057244288268e-15,\n'
         '  "beta_tail": 1.6653081995399195e-223\n'
         "}\n"
+    ),
+    "sol-link --f 2,1,1,1 --a 1,0 --b 0,1 --format json": (
+        '{\n  "f": [\n    2,\n    1,\n    1,\n    1\n  ],\n  "a": [\n    1,\n'
+        '    0\n  ],\n  "b": [\n    0,\n    1\n  ],\n  "link": "-1"\n}\n'
+    ),
+    "sol-cap --f 2,1,1,1 --a 1,0": (
+        "circle class: (1, 0)\nweight: -1\nmonodromy class: (1, 1)\n"
+        "fiber correction: 1/2\narea period: 0\nboundary check: ok\n"
+        "oracle probes: 5/5 agree\n"
+    ),
+    # no classes: an empty list in json
+    "boundary --d 5 --n 2 --format json": '{\n  "d": 5,\n  "n": 2,\n  "components": []\n}\n',
+    "lk-table --d 13 --nmax 3": (
+        '{\n  "d": 13,\n  "nmax": 3,\n  "n_det": -9,\n  "entries": {\n'
+        '    "1,1": "2/3",\n    "1,2": "0",\n    "1,3": "22/3",\n'
+        '    "2,1": "0",\n    "2,2": "0",\n    "2,3": "0",\n'
+        '    "3,1": "4/3",\n    "3,2": "0",\n    "3,3": "26/3"\n  }\n}\n'
+    ),
+    "qexp --d 5 --nmax 5": (
+        '{\n  "d": 5,\n  "m": 1,\n  "weight": 2,\n  "nmax": 5,\n'
+        '  "coeffs": {\n    "1": "2",\n    "2": "0",\n    "3": "0",\n'
+        '    "4": "4",\n    "5": "4"\n  }\n}\n'
+    ),
+    "field-info --d 5 --format json": (
+        '{\n  "d": 5,\n  "disc": 5,\n  "omega": "(1 + sqrt(d))/2",\n'
+        '  "eps0": "1/2 + 1/2*sqrt(5)",\n  "eps0_norm": -1,\n'
+        '  "eps": "3/2 + 1/2*sqrt(5)",\n  "eps_trace": "3",\n'
+        '  "n_det": -1\n}\n'
+    ),
+    "ratio-test --d 5 --nmax 12": (
+        "n=1 ratio=0.7071067811865471\nn=4 ratio=0.7071067811865471\n"
+        "n=5 ratio=0.7071067811865475\nn=9 ratio=0.7071067811865475\n"
+        "n=11 ratio=0.7071067811865478\n"
+        "spread: 6.661338147750939e-16\n"
+        "omitted (zero linking): 2, 3, 6, 7, 8, 10, 12\n"
+    ),
+    "ratio-test --d 5 --nmax 12 --format json": (
+        '{\n  "d": 5,\n  "k_range": 80,\n  "ratios": {\n'
+        '    "1": 0.7071067811865471,\n    "4": 0.7071067811865471,\n'
+        '    "5": 0.7071067811865475,\n    "9": 0.7071067811865475,\n'
+        '    "11": 0.7071067811865478\n  },\n'
+        '  "spread": 6.661338147750939e-16,\n  "omitted": [\n    2,\n'
+        "    3,\n    6,\n    7,\n    8,\n    10,\n    12\n  ],\n"
+        '  "inconsistent": []\n}\n'
     ),
 }
 
@@ -423,6 +485,16 @@ def test_ratio_test_rejects_oversized_k_range(capsys):
     assert (code, out) == (2, "") and err == "error: k_range must be at most 10000, got 10001\n"
 
 
+def test_ratio_test_reports_inconsistent_indices(capsys, monkeypatch):
+    from sollink import qseries
+
+    report = qseries.RatioReport(d=5, k_range=80, ratios={1: 0.5}, spread=0.0, omitted=(), inconsistent=(2, 3))
+    monkeypatch.setattr(qseries, "holomorphic_ratio_test", lambda field, nmax, k_range: report)
+    code, out, err = run(capsys, "ratio-test", "--d", "5", "--nmax", "3")
+    assert (code, err) == (1, "")
+    assert out == "n=1 ratio=0.5\nspread: 0.0\nINCONSISTENT (zero linking, nonzero series): 2, 3\n"
+
+
 def test_ratio_test_text(capsys):
     code, out, _ = run(capsys, "ratio-test", "--d", "5", "--nmax", "6", "--k-range", "60")
     assert code == 0
@@ -553,6 +625,25 @@ def test_self_test_reports_failures(capsys, monkeypatch):
     assert code == 1 and "FAIL stub: boom" in out
 
 
+def test_self_test_json(capsys, monkeypatch):
+    code, out, err = run(capsys, "self-test", "--seed", "0", "--format", "json")
+    payload = json.loads(out)
+    assert (code, err) == (0, "")
+    assert list(payload) == ["seed", "suites", "passed", "total"]
+    assert payload["seed"] == 0 and payload["passed"] == payload["total"] == 12
+    assert all(list(suite) == ["name", "ok", "detail"] and suite["ok"] is True for suite in payload["suites"])
+    verdicts = [("stub", False, "boom"), ("other", True, "fine")]
+    monkeypatch.setattr("sollink.selftest.run_suites", lambda seed: verdicts)
+    code, out, _ = run(capsys, "self-test", "--seed", "3", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "seed": 3,
+        "suites": [{"name": "stub", "ok": False, "detail": "boom"}, {"name": "other", "ok": True, "detail": "fine"}],
+        "passed": 1,
+        "total": 2,
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -630,7 +721,7 @@ def test_lean_parser_matches_the_full_parser(capsys, monkeypatch, argv):
 
 def test_command_list_matches_the_full_parser():
     (sub,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
-    assert tuple(sub.choices) == cli._COMMANDS
+    assert tuple(sub.choices) == tuple(cli._COMMANDS)
     for name in cli._COMMANDS:
         (sub,) = [a for a in cli._build_parser(name)._actions if a.dest == "command"]
         assert tuple(sub.choices) == (name,)

@@ -144,28 +144,18 @@ def test_norm_classes_d5():
     assert enumerate_norm_classes(f, 3) == []
     assert [(c.rep.a, c.rep.b) for c in enumerate_norm_classes(f, 4)] == [(2, 0)]
     assert [(c.rep.a, c.rep.b) for c in enumerate_norm_classes(f, 5)] == [(2, 1)]
-    assert enumerate_norm_classes(f, Fraction(1, 2)) == []
     with pytest.raises(InputError):
         enumerate_norm_classes(f, 0)
     with pytest.raises(InputError):
         enumerate_norm_classes(f, -3)
 
 
-# none of these is an exact norm: a string must not be parsed, and a float
-# must not be rounded or compared
-@pytest.mark.parametrize("bad", ["4", float("nan"), 2.5, 4.0, True, None])
+# none of these is an int norm: a string must not be parsed, a float must not
+# be rounded or compared, and a Fraction is not taken even when it is whole
+@pytest.mark.parametrize("bad", ["4", float("nan"), 2.5, 4.0, True, None, Fraction(2), Fraction(1, 2)])
 def test_enumeration_rejects_inexact_norms(bad):
-    with pytest.raises(InputError, match="^norm must be an int or a Fraction, got "):
+    with pytest.raises(InputError, match="^norm must be an int, got "):
         enumerate_norm_classes(field(5), bad)
-
-
-def test_enumeration_takes_int_and_fraction_norms():
-    f = field(13)
-    for n in range(1, 30):
-        assert enumerate_norm_classes(f, Fraction(n)) == enumerate_norm_classes(f, n)
-    assert enumerate_norm_classes(f, Fraction(9, 4)) == []
-    with pytest.raises(InputError, match="^norm must be positive, got -1/2$"):
-        enumerate_norm_classes(f, Fraction(-1, 2))
 
 
 def test_brute_force_box_d5(field5):

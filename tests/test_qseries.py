@@ -46,9 +46,9 @@ def test_min_series_rejects(field5):
         min_series_coeff(field5, 1, 0)
 
 
-@pytest.mark.parametrize("bad", ["4", float("nan"), 2.5])
+@pytest.mark.parametrize("bad", ["4", float("nan"), 2.5, Fraction(2), Fraction(1, 2)])
 def test_min_series_rejects_inexact_norms(field5, bad):
-    with pytest.raises(InputError, match="^norm must be an int or a Fraction"):
+    with pytest.raises(InputError, match="^norm must be an int, got "):
         min_series_coeff(field5, bad, 40)
 
 
@@ -99,6 +99,18 @@ def test_ratio_report_d5(field5):
     assert report.inconsistent == ()
     assert report.spread <= 1e-8
     assert report.ratios[1] == pytest.approx(math.sqrt(2) / 2, abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [46, 94, 151, 389])
+def test_min_series_is_accurate_at_large_units(d):
+    # each ratio is min_series_coeff(n, 60) / Lk(n, 1), from one enumeration
+    # per norm.  A conjugate embedded as a + b*w' cancels when eps is large
+    # (to 0.0 for eps itself at d = 151) and cost up to 5e-8 here; d = 151
+    # scans its norms in about 10 s.
+    report = holomorphic_ratio_test(field(d), 12, 60)
+    assert report.ratios and report.inconsistent == ()
+    for n, ratio in report.ratios.items():
+        assert abs(math.sqrt(2) * ratio - 1) <= 1e-14, (n, ratio)
 
 
 def test_ratio_test_enumerates_each_norm_once(monkeypatch, field13):
