@@ -8,12 +8,14 @@ identical across runs for identical flags (and seed).  Exit codes: 0 success,
 Each subcommand is declared once, by the _command decorator on its handler,
 and imports the layers and stdlib modules it runs when it runs, so a call
 loads only what it uses and a usage error exits before any layer is loaded.
-Handlers render through _render, which loads json only for --format json.
+Handlers render every format through _render, which loads json only for
+--format json.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from .errors import ConsistencyError, InputError
@@ -48,10 +50,12 @@ def _parse_ints(text: str, count: int, flag: str) -> tuple:
 # residue) plus _NORM_COST, and never more than its whole b range, so a short
 # scan counts as the plain scan it is.  _NORM_COST stands for what a norm costs
 # whatever it visits: its sieve plan, CRT list and residue table (about 10 us,
-# some 60 visits), and the subcommand's own per-norm work (ratio-test's series
-# coefficient, about 90 us at d=13).  A visit costs about 0.15-0.2 us, so the
-# largest inputs the budget accepts run several seconds (qexp and ratio-test
-# up to nmax 71060 at d=13: 3.6 and 9.3 s on a shared 2-core machine).
+# some 60 visits), and the subcommand's own per-norm work at the default
+# k-range (ratio-test's series coefficient, about 90 us at d=13).  A visit
+# costs about 0.15-0.2 us, so the largest inputs the budget accepts run several
+# seconds (qexp and ratio-test up to nmax 71060 at d=13: 3.6 and 9.3 s on a
+# shared 2-core machine).  _check_orbit_budget charges the orbit-minimum terms
+# beyond that, which never binds at the default k-range.
 # lk-table renders one line per cell.
 _SCAN_BUDGET = 3 * 10**7
 _NORM_COST = 256
@@ -61,8 +65,6 @@ _CELLS_MAX = 10**6
 def _check_scan_budget(field, nmax: int, m: int = 0) -> None:
     """InputError when the b-scans over the norms 1..nmax and m exceed
     _SCAN_BUDGET steps; norms below 1 are left to the library's checks."""
-    import itertools
-
     from .qfield import _scan_length, _sieve_plan
 
     top = max(nmax, m)
@@ -74,6 +76,18 @@ def _check_scan_budget(field, nmax: int, m: int = 0) -> None:
         steps += min(length, _sieve_plan(field.disc, 4 * n, length)[1] + _NORM_COST)
         if steps > _SCAN_BUDGET:
             raise InputError(f"norm-class scans up to n = {top} at d = {field.d} need more than {_SCAN_BUDGET} steps")
+
+
+def _check_orbit_budget(nmax: int, k_range: int) -> None:
+    """InputError when the orbit-minimum sums over the norms 1..nmax, at
+    2*k_range + 1 terms each, exceed _SCAN_BUDGET terms: at k-range 10^4 that
+    is past nmax 1499, at the default k-range past any nmax the scans accept
+    (130834 at d=3, 2.1e7 terms).  Values out of range are left to the
+    library's checks."""
+    from .qseries import _K_RANGE_MAX
+
+    if nmax > 0 and k_range <= _K_RANGE_MAX and nmax * (2 * k_range + 1) > _SCAN_BUDGET:
+        raise InputError(f"orbit-minimum sums up to n = {nmax} at k-range {k_range} need more than {_SCAN_BUDGET} terms")
 
 
 # argparse reads a value that starts with '-' as an option unless it is a plain
@@ -116,13 +130,15 @@ def _command(name: str, help: str, *flags: tuple, d: bool = False, tables: bool 
     return register
 
 
-def _render(fmt: str, payload, lines) -> str:
-    """`payload` as indented JSON for --format json, else `lines` one a line."""
+def _render(fmt: str, payload, lines, csv=()) -> str:
+    """`payload` as indented JSON for --format json, the `csv` lines for
+    --format csv, else `lines`, one a line.  Both may be generators, so a
+    call builds only the lines it prints."""
     if fmt == "json":
         import json
 
         return json.dumps(payload, indent=2) + "\n"
-    return "\n".join(lines) + "\n"
+    return "\n".join(csv if fmt == "csv" else lines) + "\n"
 
 
 def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -301,26 +317,22 @@ def _run_lk_table(args: argparse.Namespace) -> tuple[int, str]:
     _check_scan_budget(field, args.nmax)
     table = cycles.link_table(field, args.nmax)
     entries = table.entries.items()
-    # up to 10^6 cells: each format builds only the lines or entries it prints
-    if args.format == "csv":
-        return 0, "\n".join(["n,m,value", *(f"{n},{m},{v}" for (n, m), v in entries)]) + "\n"
-    if args.format == "text":
-        return 0, _render("text", None, (f"Lk(C{n}, C{m}) = {v}" for (n, m), v in entries))
-    payload = {
-        "d": table.d,
-        "nmax": table.nmax,
-        "n_det": table.n_det,
-        "entries": {f"{n},{m}": str(v) for (n, m), v in entries},
-    }
-    return 0, _render("json", payload, ())
+    # up to 10^6 cells: the json entries are built for json only
+    cells = {f"{n},{m}": str(v) for (n, m), v in entries} if args.format == "json" else None
+    payload = {"d": table.d, "nmax": table.nmax, "n_det": table.n_det, "entries": cells}
+    lines = (f"Lk(C{n}, C{m}) = {v}" for (n, m), v in entries)
+    csv = itertools.chain(["n,m,value"], (f"{n},{m},{v}" for (n, m), v in entries))
+    return 0, _render(args.format, payload, lines, csv)
 
 
-def _render_qexp(q, fmt: str) -> str:
-    if fmt == "csv":
-        return q.to_csv()
-    if fmt == "json":
-        return q.to_json()
-    return _render(fmt, None, (f"q^{n}: {q.coeffs[n]}" for n in range(1, q.nmax + 1)))
+def _render_qexp(fmt: str, q) -> str:
+    """qexp and combine: the coefficients of q^1 .. q^nmax."""
+    ns = range(1, q.nmax + 1)
+    coeffs = {str(n): str(q.coeffs[n]) for n in ns} if fmt == "json" else None
+    payload = {"d": q.d, "m": q.m, "weight": q.weight, "nmax": q.nmax, "coeffs": coeffs}
+    lines = (f"q^{n}: {q.coeffs[n]}" for n in ns)
+    csv = itertools.chain(["n,value,tail_estimate"], (f"{n},{q.coeffs[n]},0" for n in ns))
+    return _render(fmt, payload, lines, csv)
 
 
 @_command(
@@ -338,7 +350,7 @@ def _run_qexp(args: argparse.Namespace) -> tuple[int, str]:
     field = make_field(args.d)
     _check_scan_budget(field, args.nmax, args.m)
     q = qseries.lk_qexpansion(field, args.m, args.nmax)
-    return 0, _render_qexp(q, args.format)
+    return 0, _render_qexp(args.format, q)
 
 
 @_command(
@@ -358,6 +370,7 @@ def _run_w_eval(args: argparse.Namespace) -> tuple[int, str]:
     field = make_field(args.d)
     params = qseries.WEvalParams(tau=tau, k_range=args.k_range, box=args.box, n_cut=args.n_cut)
     _check_scan_budget(field, args.n_cut)
+    _check_orbit_budget(args.n_cut, args.k_range)
     rep = qseries.eval_W(field, params)
     payload = {
         "d": field.d,
@@ -392,6 +405,7 @@ def _run_ratio_test(args: argparse.Namespace) -> tuple[int, str]:
 
     field = make_field(args.d)
     _check_scan_budget(field, args.nmax)
+    _check_orbit_budget(args.nmax, args.k_range)
     report = qseries.holomorphic_ratio_test(field, args.nmax, args.k_range)
     ratios = sorted(report.ratios.items())
     payload = {
@@ -434,7 +448,7 @@ def _run_combine(args: argparse.Namespace) -> tuple[int, str]:
         raise InputError(f"--m {args.m} does not match the table's m = {table.m}")
     _check_scan_budget(field, args.nmax, table.m)
     q = qseries.combine_interior(table, field, args.nmax)
-    return 0, _render_qexp(q, args.format)
+    return 0, _render_qexp(args.format, q)
 
 
 @_command("self-test", "run all randomized cross-check suites", ("--seed", dict(type=int, default=0)))

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, InputError
 from .qfield import FieldData, NormClass, QuadElem, enumerate_norm_classes
-from . import sol as _sol
 
 
 @dataclass(frozen=True)
@@ -157,5 +156,4 @@ def link_table(field: FieldData, nmax: int) -> LinkTable:
     """All pairwise boundary linking numbers for n, m <= nmax."""
     _check_index("nmax", nmax)
     ks = range(1, nmax + 1)
-    n_det = _sol.glueing_from_unit(field).n_det
-    return LinkTable(d=field.d, nmax=nmax, n_det=n_det, entries=_link_numbers(field, ks, ks))
+    return LinkTable(d=field.d, nmax=nmax, n_det=_unit_ints(field)[2], entries=_link_numbers(field, ks, ks))

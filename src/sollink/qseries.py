@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,22 +57,6 @@ class QExpansion:
     weight: int
     nmax: int
     coeffs: dict  # n -> Fraction, every n in 1..nmax present
-
-    def to_json(self) -> str:
-        payload = {
-            "d": self.d,
-            "m": self.m,
-            "weight": self.weight,
-            "nmax": self.nmax,
-            "coeffs": {str(n): str(self.coeffs[n]) for n in range(1, self.nmax + 1)},
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
-    def to_csv(self) -> str:
-        lines = ["n,value,tail_estimate"]
-        for n in range(1, self.nmax + 1):
-            lines.append(f"{n},{self.coeffs[n]},0")
-        return "\n".join(lines) + "\n"
 
 
 def lk_qexpansion(field: FieldData, m: int, nmax: int) -> QExpansion:
@@ -357,6 +340,8 @@ class InteriorTable:
         # JSONDecodeError and an int over the interpreter's digit limit are both
         # ValueError; nesting too deep is RecursionError.  InputError is a
         # ValueError too, and passes unwrapped
+        import json
+
         try:
             raw = json.loads(text, object_pairs_hook=_unique_keys)
         except InputError:

@@ -7,6 +7,7 @@ import json
 import re
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from sollink import cli
 from sollink.errors import ConsistencyError, InputError
 from sollink.qfield import _scan_length, make_field
+from sollink.qseries import lk_qexpansion
 
 
 def run(capsys, *argv):
@@ -153,9 +155,19 @@ def test_qexp_golden_json(capsys):
     assert json.loads(out) == QEXP_GOLDEN
 
 
+def test_qexp_json_round_trip(capsys):
+    code, out, _ = run(capsys, "qexp", "--d", "13", "--nmax", "6")
+    assert code == 0 and '"1": "2/3"' in out and out.endswith("}\n")
+    raw = json.loads(out)
+    assert (raw["d"], raw["m"], raw["weight"], raw["nmax"]) == (13, 1, 2, 6)
+    assert {int(n): Fraction(c) for n, c in raw["coeffs"].items()} == lk_qexpansion(make_field(13), 1, 6).coeffs
+
+
 def test_qexp_csv_and_text(capsys):
     code, out, _ = run(capsys, "qexp", "--d", "5", "--nmax", "2", "--format", "csv")
     assert code == 0 and out == "n,value,tail_estimate\n1,2,0\n2,0,0\n"
+    code, out, _ = run(capsys, "qexp", "--d", "5", "--nmax", "5", "--format", "csv")
+    assert code == 0 and out == "n,value,tail_estimate\n1,2,0\n2,0,0\n3,0,0\n4,4,0\n5,4,0\n"
     code, out, _ = run(capsys, "qexp", "--d", "5", "--nmax", "2", "--format", "text")
     assert code == 0 and out == "q^1: 2\nq^2: 0\n"
 
@@ -420,7 +432,9 @@ def test_w_eval_rejects_oversized_truncation(capsys, flag, value, message):
 # The budget counts the b the residue wheel visits plus a per-norm charge:
 # 1.3e26 at d=991, n=1 (a b range of 1.2e28), 1.4e8 for lk-table d=151 up to
 # nmax 20, 3.8e8 up to n = 40, 4.5e13 for m = 10^30 at d=5; qexp up to
-# nmax 10^18 stops after 1.3e5 norms at d=5 and 7.1e4 at d=13.
+# nmax 10^18 stops after 1.3e5 norms at d=5 and 7.1e4 at d=13.  The
+# orbit-minimum sums of ratio-test and w-eval at k-range 10^4 and 2*10^4
+# norms take 4e8 terms (about 80 s each before they were charged).
 OVER_BUDGET = {
     ("boundary", "--d", "991", "--n", "1"): "need more than 30000000 steps",
     ("lk-table", "--d", "94", "--nmax", "2000"): "gives 4000000 cells, more than 1000000",
@@ -430,6 +444,8 @@ OVER_BUDGET = {
     ("qexp", "--d", "5", "--nmax", "3", "--m", str(10**30)): "need more than 30000000 steps",
     ("ratio-test", "--d", "151", "--nmax", "40"): "need more than 30000000 steps",
     ("w-eval", "--d", "151", "--tau", "0+1i", "--n-cut", "40"): "need more than 30000000 steps",
+    ("ratio-test", "--d", "5", "--nmax", "20000", "--k-range", "10000"): "need more than 30000000 terms",
+    ("w-eval", "--d", "5", "--tau", "0.1+1i", "--k-range", "10000", "--n-cut", "20000"): "need more than 30000000 terms",
 }
 
 
@@ -476,6 +492,27 @@ def test_budget_accepts_what_the_b_range_count_accepts(d):
         nmax += 1
         steps += _scan_length(field, nmax)
     cli._check_scan_budget(field, nmax)
+
+
+@pytest.mark.parametrize("d, nmax", [(3, 130834), (5, 129423), (13, 71060)])
+def test_default_k_range_never_binds(d, nmax):
+    # nmax is the largest the scans accept at d; its orbit terms at either
+    # subcommand's default k-range stay within the cap
+    field = make_field(d)
+    cli._check_scan_budget(field, nmax)
+    with pytest.raises(InputError, match="need more than 30000000 steps"):
+        cli._check_scan_budget(field, nmax + 1)
+    for argv in (["ratio-test", "--nmax", "1"], ["w-eval", "--tau", "1i"]):
+        cli._check_orbit_budget(nmax, cli._build_parser().parse_args([*argv, "--d", str(d)]).k_range)
+
+
+def test_orbit_budget_at_the_largest_k_range(capsys):
+    cli._check_orbit_budget(1499, 10**4)
+    with pytest.raises(InputError, match="up to n = 1500 at k-range 10000 need more than 30000000 terms"):
+        cli._check_orbit_budget(1500, 10**4)
+    # an oversized k-range is named by the library's own check
+    code, out, err = run(capsys, "ratio-test", "--d", "5", "--nmax", "1500", "--k-range", "10001")
+    assert (code, out) == (2, "") and err == "error: k_range must be at most 10000, got 10001\n"
 
 
 def test_ratio_test_rejects_oversized_k_range(capsys):

@@ -35,8 +35,9 @@ def test_importing_the_cli_loads_no_layer():
     "argv, runs, skips",
     [
         (("sol-link", "--f", "2,1,1,1", "--a", "1,0", "--b", "0,1"), {"sol"}, {"qfield", "cycles", "qseries", "special_fn", "selftest"}),
-        (("boundary", "--d", "5", "--n", "4"), {"cycles"}, {"qseries", "special_fn", "selftest"}),
+        (("boundary", "--d", "5", "--n", "4"), {"cycles"}, {"sol", "qseries", "special_fn", "selftest"}),
         (("sol-cap", "--f", "2,1,1,1", "--a", "1,0"), {"sol"}, {"qfield", "cycles", "qseries", "special_fn", "selftest"}),
+        (("qexp", "--d", "5", "--nmax", "4"), {"cycles", "qseries"}, {"sol", "selftest"}),
     ],
 )
 def test_a_subcommand_loads_only_its_layers(argv, runs, skips):
@@ -53,3 +54,18 @@ def test_a_subcommand_loads_only_its_layers(argv, runs, skips):
 def test_sol_commands_load_no_dataclasses(argv):
     # the Sol records are NamedTuples and sol does not import qfield
     assert "dataclasses" not in loaded(*argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qexp", "--d", "5", "--nmax", "4", "--format", "text"),
+        ("w-eval", "--d", "5", "--tau", "0.3+1i"),
+        ("ratio-test", "--d", "5", "--nmax", "4"),
+        ("self-test",),
+    ],
+    ids=["qexp", "w-eval", "ratio-test", "self-test"],
+)
+def test_text_output_loads_no_json(argv):
+    # only --format json and the interior-table parser load json
+    assert "json" not in loaded(*argv)
