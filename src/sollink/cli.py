@@ -18,7 +18,7 @@ import argparse
 import itertools
 import sys
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, _check_index
 
 
 def parse_tau(text: str) -> complex:
@@ -173,12 +173,13 @@ _NMAX = ("--nmax", dict(type=int, required=True))
 
 @_command("field-info", "ring, discriminant, and unit data", d=True)
 def _run_field_info(args: argparse.Namespace) -> tuple[int, str]:
-    from . import sol
+    from .cycles import _unit_ints
     from .qfield import make_field
 
     field = make_field(args.d)
     basis = "(1 + sqrt(d))/2" if field.d % 4 == 1 else "sqrt(d)"
-    m = sol.glueing_from_unit(field)
+    # N(eps - 1) = 2 - Tr(eps), the N_det of the gluing by eps'
+    n_det = _unit_ints(field)[2]
     payload = {
         "d": field.d,
         "disc": field.disc,
@@ -187,7 +188,7 @@ def _run_field_info(args: argparse.Namespace) -> tuple[int, str]:
         "eps0_norm": field.eps0_norm,
         "eps": str(field.eps),
         "eps_trace": str(field.eps.trace()),
-        "n_det": m.n_det,
+        "n_det": n_det,
     }
     lines = [
         f"d: {field.d}",
@@ -196,7 +197,7 @@ def _run_field_info(args: argparse.Namespace) -> tuple[int, str]:
         f"fundamental unit: {field.eps0} (norm {field.eps0_norm})",
         f"totally positive unit: {field.eps}",
         f"unit trace: {field.eps.trace()}",
-        f"gluing N_det: {m.n_det}",
+        f"gluing N_det: {n_det}",
     ]
     return 0, _render(args.format, payload, lines)
 
@@ -282,8 +283,7 @@ def _run_boundary(args: argparse.Namespace) -> tuple[int, str]:
     from .qfield import make_field
 
     field = make_field(args.d)
-    if args.n < 1:
-        raise InputError(f"--n must be >= 1, got {args.n}")
+    _check_index("--n", args.n)
     _check_scan_budget(field, 0, args.n)
     comps = cycles.boundary_components(field, args.n)
     payload = {

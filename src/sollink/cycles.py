@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, _check_index
 from .qfield import FieldData, NormClass, QuadElem, enumerate_norm_classes
 
 
@@ -141,15 +141,6 @@ class LinkTable:
     nmax: int
     n_det: int
     entries: dict  # (n, m) -> Fraction
-
-
-def _check_index(name: str, value) -> None:
-    """InputError unless value is an int >= 1; bool is not an index, and a
-    float such as 2.0 is not one either."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise InputError(f"{name} must be >= 1, got {value}")
 
 
 def link_table(field: FieldData, nmax: int) -> LinkTable:

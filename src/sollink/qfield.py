@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, _check_index, _is_int
 
 
 # Largest accepted d.  Trial division in is_squarefree and the continued
@@ -46,7 +46,7 @@ class FieldData:
     """
 
     def __init__(self, d: int):
-        if not isinstance(d, int) or d <= 1:
+        if not _is_int(d) or d <= 1:
             raise InputError(f"d must be an integer > 1, got {d!r}")
         if d > _D_MAX:
             raise InputError(f"d must be at most {_D_MAX}, got {d}")
@@ -69,8 +69,8 @@ class FieldData:
         self.eps_sq = (e2.trace(), e2.b)
 
     def element(self, a: int, b: int = 0) -> "QuadElem":
-        """The integer a + b*w; InputError unless a and b are ints (bool is not)."""
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (a, b)):
+        """The integer a + b*w; InputError unless a and b are ints."""
+        if not (_is_int(a) and _is_int(b)):
             raise InputError(f"element coordinates must be ints, got ({a!r}, {b!r})")
         return QuadElem(self, a, b)
 
@@ -385,13 +385,6 @@ def _residue_table(disc: int, n4: int, primes: list[int]) -> tuple[bytearray, in
     return ok, q_mod
 
 
-def _check_norm(n) -> None:
-    """InputError unless n is an int; a bool, a float, a string or a Fraction
-    is not a norm."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InputError(f"norm must be an int, got {n!r}")
-
-
 def enumerate_norm_classes(field: FieldData, n: int) -> list[NormClass]:
     """All classes of totally positive integers of norm n, one reduced
     representative each, sorted by coordinates.
@@ -428,9 +421,7 @@ def enumerate_norm_classes(field: FieldData, n: int) -> list[NormClass]:
     modulus, so no b the plain scan accepts is skipped, and the output is the
     same as the unsieved scan's.
     """
-    _check_norm(n)
-    if n <= 0:
-        raise InputError(f"norm must be positive, got {n}")
+    _check_index("norm", n)
     disc, s0 = field.disc, field.s0
     big_t, big_u = field.eps_sq
     n4 = 4 * n

@@ -16,16 +16,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
-from .qfield import FieldData, _check_norm, enumerate_norm_classes
-from .cycles import _check_index, _link_cells, _link_numbers, boundary_components
+from .errors import InputError, _check_index, _is_int
+from .qfield import FieldData, enumerate_norm_classes
+from .cycles import _link_cells, _link_numbers, boundary_components
 from .special_fn import beta_scaled
 
 
 def _is_exact_json(value) -> bool:
     """A JSON string or integer; JSON floats are binary and true/false are
     not numbers, so neither may stand for an exact rational."""
-    return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
+    return isinstance(value, str) or _is_int(value)
 
 
 def _fraction_from_json(value) -> Fraction:
@@ -80,10 +80,8 @@ def min_series_coeff(field: FieldData, n: int, k_range: int) -> float:
     once per class and added for both signs.  Summation order is classes,
     then signs, then k ascending, so the float result is deterministic.
     """
-    _check_norm(n)
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    _check_k_range(k_range)
+    _check_index("norm", n)
+    _check_index("k_range", k_range, _K_RANGE_MAX)
     return _orbit_min_sum(field, enumerate_norm_classes(field, n), k_range)
 
 
@@ -125,7 +123,7 @@ def holomorphic_ratio_test(field: FieldData, nmax: int, k_range: int) -> RatioRe
     measures it rather than asserting a value.
     """
     _check_index("nmax", nmax)
-    _check_k_range(k_range)
+    _check_index("k_range", k_range, _K_RANGE_MAX)
     ratios = {}
     omitted, inconsistent = [], []
     ns = range(1, nmax + 1)
@@ -174,12 +172,8 @@ _GAUSS_CUTOFF = 760.0
 # Entries kept by _holomorphic_coeffs, one per (field, k_range, n_cut); each
 # holds n_cut floats.
 _HOLO_CACHE_SIZE = 32
-
-
-def _check_k_range(k_range: int) -> None:
-    _check_index("k_range", k_range)
-    if k_range > _K_RANGE_MAX:
-        raise InputError(f"k_range must be at most {_K_RANGE_MAX}, got {k_range}")
+# Gaps combine_interior names before it only counts the rest.
+_MISSING_SHOWN = 10
 
 
 @dataclass(frozen=True)
@@ -208,10 +202,8 @@ class WEvalParams:
                 f"|Re tau| must be at most {_RE_TAU_MAX} (W has period 1 in tau, so reduce Re tau mod 1),"
                 f" got {self.tau.real!r}"
             )
-        _check_k_range(self.k_range)
-        _check_index("box", self.box)
-        if self.box > _BOX_MAX:
-            raise InputError(f"box must be at most {_BOX_MAX}, got {self.box}")
+        _check_index("k_range", self.k_range, _K_RANGE_MAX)
+        _check_index("box", self.box, _BOX_MAX)
         _check_index("n_cut", self.n_cut)
 
 
@@ -356,8 +348,7 @@ class InteriorTable:
             m = None
         if m is None:
             raise InputError(f"bad m in interior table: {raw['m']!r}")
-        if m < 1:
-            raise InputError(f"interior table m must be >= 1, got {m}")
+        _check_index("interior table m", m)
         if not isinstance(raw["entries"], dict):
             raise InputError("interior table 'entries' must be a JSON object")
         entries = {}
@@ -383,14 +374,15 @@ def combine_interior(table: InteriorTable, field: FieldData, nmax: int) -> QExpa
     tests/test_cycles.py::test_closed_form_satisfies_hirzebruch_zagier pins
     it as an Eisenstein series at D in {5, 8, 13, 17}.
 
-    Every n in range must be present in the table; all gaps are reported in
-    one InputError.
+    Every n in range must be present in the table; one InputError lists the
+    first _MISSING_SHOWN gaps and counts the rest.
     """
     _check_index("m", table.m)
     _check_index("nmax", nmax)
     missing = [n for n in range(1, nmax + 1) if n not in table.entries]
     if missing:
-        raise InputError(f"interior table is missing n = {', '.join(map(str, missing))}")
+        more = f" and {len(missing) - _MISSING_SHOWN} more" if len(missing) > _MISSING_SHOWN else ""
+        raise InputError(f"interior table is missing n = {', '.join(map(str, missing[:_MISSING_SHOWN]))}{more}")
     column = _link_numbers(field, range(1, nmax + 1), (table.m,))
     coeffs = {n: table.entries[n] - column[n, table.m] for n in range(1, nmax + 1)}
     return QExpansion(d=field.d, m=table.m, weight=2, nmax=nmax, coeffs=coeffs)

@@ -53,11 +53,12 @@ def _primitive(v: Vec) -> tuple[Vec, int]:
     return (v[0] // g, v[1] // g), g
 
 
-def _int_pair(v, what: str, kinds=int) -> Vec:
-    """A class or a gluing row: exactly two entries, each an int.  An offset
-    passes kinds=(int, Fraction)."""
-    if not isinstance(v, (tuple, list)) or len(v) != 2 or not (isinstance(v[0], kinds) and isinstance(v[1], kinds)):
-        raise InputError(f"{what} must be two {'integers' if kinds is int else 'ints or Fractions'}, got {v!r}")
+def _int_pair(v, what: str, kinds=(int,)) -> Vec:
+    """A class or a gluing row: exactly two entries, each of a type in kinds,
+    so bool is not an int (errors._is_int, inlined for the Sol kernels' speed).
+    An offset passes kinds=(int, Fraction)."""
+    if not isinstance(v, (tuple, list)) or len(v) != 2 or not (type(v[0]) in kinds and type(v[1]) in kinds):
+        raise InputError(f"{what} must be two {'integers' if len(kinds) == 1 else 'ints or Fractions'}, got {v!r}")
     return (v[0], v[1])
 
 

@@ -598,6 +598,14 @@ def test_combine_incomplete_table(tmp_path, capsys):
     assert code == 2 and "missing n = 2, 3" in err
 
 
+def test_combine_counts_the_missing_indices_past_ten(tmp_path, capsys):
+    table = tmp_path / "interior.json"
+    table.write_text(json.dumps({"m": 1, "entries": {"1": "5"}}), encoding="utf-8")
+    code, out, err = run(capsys, "combine", "--d", "5", "--interior", str(table), "--nmax", "100000")
+    assert (code, out) == (2, "")
+    assert err == "error: interior table is missing n = 2, 3, 4, 5, 6, 7, 8, 9, 10, 11 and 99989 more\n"
+
+
 # Whole interior files that json.loads rejects with RecursionError or, over the
 # interpreter's integer digit limit (4300 by default), with a plain ValueError.
 BIG_INT = "7" * 5000

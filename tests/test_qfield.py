@@ -70,6 +70,14 @@ def test_make_field_rejects_bad_d(bad):
         make_field(bad)
 
 
+def test_make_field_rejects_an_int_subclass():
+    class Int(int):
+        pass
+
+    with pytest.raises(InputError, match="^d must be an integer > 1, got 5$"):
+        make_field(Int(5))
+
+
 def test_make_field_rejects_oversized_d_quickly():
     start = time.perf_counter()
     with pytest.raises(InputError, match="at most"):

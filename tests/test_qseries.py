@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -13,10 +14,18 @@ from sollink import (
     InputError,
     InteriorTable,
     WEvalParams,
+    boundary_components,
+    build_cap,
+    cap_intersect,
     combine_interior,
+    enumerate_norm_classes,
     eval_W,
     holomorphic_ratio_test,
+    link_boundary_closed,
+    link_fiber,
+    link_table,
     lk_qexpansion,
+    make_sol,
     min_series_coeff,
 )
 import oracles
@@ -71,6 +80,82 @@ def test_series_functions_reject_non_int_indices(field5, bad):
         for fn in fns:
             with pytest.raises(InputError, match=f"^{name} must be an int, got "):
                 fn()
+
+
+class _Int(int):
+    """An int subclass: a value the library does not take for an int."""
+
+    def __repr__(self):
+        return f"_Int({int(self)})"
+
+
+def _index(name: str) -> tuple[str, str]:
+    return f"{name} must be an int, got {{!r}}", f"{name} must be >= 1, got 0"
+
+
+_SOL = make_sol(((2, 1), (1, 1)))
+_CAP = build_cap(_SOL, (1, 0))
+
+# Every public entry point that takes an integer, with v in one integer slot:
+# (call, the message for a v that is not an int, {} standing for repr(v), and
+# the message for v = 0, or None where 0 is a valid coordinate).
+INTEGER_SLOTS = {
+    "enumerate_norm_classes": (lambda v: enumerate_norm_classes(field(5), v), *_index("norm")),
+    "boundary_components": (lambda v: boundary_components(field(5), v), *_index("norm")),
+    "link_boundary_closed": (lambda v: link_boundary_closed(field(5), v), *_index("norm")),
+    "link_table": (lambda v: link_table(field(5), v), *_index("nmax")),
+    "lk_qexpansion-m": (lambda v: lk_qexpansion(field(5), v, 3), *_index("m")),
+    "lk_qexpansion-nmax": (lambda v: lk_qexpansion(field(5), 1, v), *_index("nmax")),
+    "min_series_coeff-n": (lambda v: min_series_coeff(field(5), v, 5), *_index("norm")),
+    "min_series_coeff-k_range": (lambda v: min_series_coeff(field(5), 1, v), *_index("k_range")),
+    "holomorphic_ratio_test-nmax": (lambda v: holomorphic_ratio_test(field(5), v, 5), *_index("nmax")),
+    "holomorphic_ratio_test-k_range": (lambda v: holomorphic_ratio_test(field(5), 3, v), *_index("k_range")),
+    "combine_interior-m": (
+        lambda v: combine_interior(InteriorTable(m=v, entries={1: Fraction(1)}), field(5), 1),
+        *_index("m"),
+    ),
+    "combine_interior-nmax": (
+        lambda v: combine_interior(InteriorTable(m=1, entries={1: Fraction(1)}), field(5), v),
+        *_index("nmax"),
+    ),
+    "WEvalParams-k_range": (lambda v: WEvalParams(tau=1j, k_range=v), *_index("k_range")),
+    "WEvalParams-box": (lambda v: WEvalParams(tau=1j, box=v), *_index("box")),
+    "WEvalParams-n_cut": (lambda v: WEvalParams(tau=1j, n_cut=v), *_index("n_cut")),
+    "element-a": (lambda v: field(5).element(v, 1), "element coordinates must be ints, got ({!r}, 1)", None),
+    "element-b": (lambda v: field(5).element(1, v), "element coordinates must be ints, got (1, {!r})", None),
+    "make_sol": (
+        lambda v: make_sol(((v, 1), (1, 2))),
+        "gluing row must be two integers, got ({!r}, 1)",
+        "gluing matrix must have determinant 1, got -1",
+    ),
+    "link_fiber-a": (lambda v: link_fiber(_SOL, (v, 0), (0, 1)), "class a must be two integers, got ({!r}, 0)", None),
+    "link_fiber-b": (lambda v: link_fiber(_SOL, (1, 0), (0, v)), "class b must be two integers, got (0, {!r})", None),
+    "build_cap-a": (lambda v: build_cap(_SOL, (1, v)), "class a must be two integers, got (1, {!r})", None),
+    "build_cap-offset": (
+        lambda v: build_cap(_SOL, (1, 0), (v, 0)),
+        "offset must be two ints or Fractions, got ({!r}, 0)",
+        None,
+    ),
+    "cap_intersect": (
+        lambda v: cap_intersect(_CAP, _SOL, (v, 1), Fraction(1, 3)),
+        "class b must be two integers, got ({!r}, 1)",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "3", _Int(2), 0], ids=["True", "2.0", "str", "int-subclass", "0"])
+@pytest.mark.parametrize("entry", list(INTEGER_SLOTS))
+def test_integer_inputs_follow_one_rule(entry, value):
+    # one rule everywhere: only a value of type int is an int, so True is not
+    # 1 and 2.0 is not 2, and an index below 1 gets one message
+    call, not_int, at_zero = INTEGER_SLOTS[entry]
+    message = at_zero if type(value) is int and value == 0 else not_int.format(value)
+    if message is None:
+        call(value)
+        return
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 @pytest.mark.parametrize("d", [2, 5, 13, 94])
@@ -202,6 +287,19 @@ def test_combine_interior_missing_entries(field5):
     sparse = InteriorTable(m=1, entries={1: Fraction(0), 4: Fraction(0)})
     with pytest.raises(InputError, match=r"missing n = 2, 3, 5"):
         combine_interior(sparse, field5, 5)
+
+
+@pytest.mark.parametrize(
+    "nmax, tail",
+    [(11, ""), (12, " and 1 more"), (100_000, " and 99989 more")],
+    ids=["ten-missing", "eleven-missing", "99999-missing"],
+)
+def test_combine_interior_names_at_most_ten_missing_indices(field5, nmax, tail):
+    # the first ten gaps are named and the rest counted, so the message stays one short line
+    sparse = InteriorTable(m=1, entries={1: Fraction(0)})
+    message = f"interior table is missing n = 2, 3, 4, 5, 6, 7, 8, 9, 10, 11{tail}"
+    with pytest.raises(InputError, match=f"^{message}$"):
+        combine_interior(sparse, field5, nmax)
 
 
 @pytest.mark.parametrize("d,m", [(5, 17), (5, 19), (13, 17)])
