@@ -8,8 +8,9 @@ identical across runs for identical flags (and seed).  Exit codes: 0 success,
 Each subcommand is declared once, by the _command decorator on its handler,
 and imports the layers and stdlib modules it runs when it runs, so a call
 loads only what it uses and a usage error exits before any layer is loaded.
-Handlers render every format through _render, which loads json only for
---format json.
+main builds the field of a --d subcommand as args.field, so a bad --d is
+reported before the handler checks its own flags.  Handlers render every
+format through _render, which loads json only for --format json.
 """
 
 from __future__ import annotations
@@ -120,8 +121,9 @@ _COMMANDS: dict[str, tuple] = {}
 
 def _command(name: str, help: str, *flags: tuple, d: bool = False, tables: bool = False):
     """Register the decorated handler as subcommand `name`.  Each flag is an
-    (option, argparse keywords) pair; `d` adds the required --d, and with
-    `tables` csv is allowed and json is the default format."""
+    (option, argparse keywords) pair; `d` adds the required --d, whose field
+    main passes as args.field, and with `tables` csv is allowed and json is
+    the default format."""
 
     def register(run):
         _COMMANDS[name] = (help, flags, d, tables, run)
@@ -173,13 +175,8 @@ _NMAX = ("--nmax", dict(type=int, required=True))
 
 @_command("field-info", "ring, discriminant, and unit data", d=True)
 def _run_field_info(args: argparse.Namespace) -> tuple[int, str]:
-    from .cycles import _unit_ints
-    from .qfield import make_field
-
-    field = make_field(args.d)
+    field = args.field
     basis = "(1 + sqrt(d))/2" if field.d % 4 == 1 else "sqrt(d)"
-    # N(eps - 1) = 2 - Tr(eps), the N_det of the gluing by eps'
-    n_det = _unit_ints(field)[2]
     payload = {
         "d": field.d,
         "disc": field.disc,
@@ -188,7 +185,7 @@ def _run_field_info(args: argparse.Namespace) -> tuple[int, str]:
         "eps0_norm": field.eps0_norm,
         "eps": str(field.eps),
         "eps_trace": str(field.eps.trace()),
-        "n_det": n_det,
+        "n_det": field.n_det,
     }
     lines = [
         f"d: {field.d}",
@@ -197,7 +194,7 @@ def _run_field_info(args: argparse.Namespace) -> tuple[int, str]:
         f"fundamental unit: {field.eps0} (norm {field.eps0_norm})",
         f"totally positive unit: {field.eps}",
         f"unit trace: {field.eps.trace()}",
-        f"gluing N_det: {n_det}",
+        f"gluing N_det: {field.n_det}",
     ]
     return 0, _render(args.format, payload, lines)
 
@@ -280,14 +277,12 @@ def _run_sol_cap(args: argparse.Namespace) -> tuple[int, str]:
 )
 def _run_boundary(args: argparse.Namespace) -> tuple[int, str]:
     from . import cycles
-    from .qfield import make_field
 
-    field = make_field(args.d)
     _check_index("--n", args.n)
-    _check_scan_budget(field, 0, args.n)
-    comps = cycles.boundary_components(field, args.n)
+    _check_scan_budget(args.field, 0, args.n)
+    comps = cycles.boundary_components(args.field, args.n)
     payload = {
-        "d": field.d,
+        "d": args.d,
         "n": args.n,
         "components": [
             {
@@ -309,13 +304,11 @@ def _run_boundary(args: argparse.Namespace) -> tuple[int, str]:
 @_command("lk-table", "all pairwise boundary linking numbers up to nmax", _NMAX, d=True, tables=True)
 def _run_lk_table(args: argparse.Namespace) -> tuple[int, str]:
     from . import cycles
-    from .qfield import make_field
 
-    field = make_field(args.d)
     if args.nmax > 0 and args.nmax * args.nmax > _CELLS_MAX:
         raise InputError(f"--nmax {args.nmax} gives {args.nmax * args.nmax} cells, more than {_CELLS_MAX}")
-    _check_scan_budget(field, args.nmax)
-    table = cycles.link_table(field, args.nmax)
+    _check_scan_budget(args.field, args.nmax)
+    table = cycles.link_table(args.field, args.nmax)
     entries = table.entries.items()
     # up to 10^6 cells: the json entries are built for json only
     cells = {f"{n},{m}": str(v) for (n, m), v in entries} if args.format == "json" else None
@@ -345,11 +338,9 @@ def _render_qexp(fmt: str, q) -> str:
 )
 def _run_qexp(args: argparse.Namespace) -> tuple[int, str]:
     from . import qseries
-    from .qfield import make_field
 
-    field = make_field(args.d)
-    _check_scan_budget(field, args.nmax, args.m)
-    q = qseries.lk_qexpansion(field, args.m, args.nmax)
+    _check_scan_budget(args.field, args.nmax, args.m)
+    q = qseries.lk_qexpansion(args.field, args.m, args.nmax)
     return 0, _render_qexp(args.format, q)
 
 
@@ -364,16 +355,14 @@ def _run_qexp(args: argparse.Namespace) -> tuple[int, str]:
 )
 def _run_w_eval(args: argparse.Namespace) -> tuple[int, str]:
     from . import qseries
-    from .qfield import make_field
 
     tau = parse_tau(args.tau)
-    field = make_field(args.d)
     params = qseries.WEvalParams(tau=tau, k_range=args.k_range, box=args.box, n_cut=args.n_cut)
-    _check_scan_budget(field, args.n_cut)
+    _check_scan_budget(args.field, args.n_cut)
     _check_orbit_budget(args.n_cut, args.k_range)
-    rep = qseries.eval_W(field, params)
+    rep = qseries.eval_W(args.field, params)
     payload = {
-        "d": field.d,
+        "d": args.d,
         "tau": _complex_str(tau),
         "holomorphic": {"re": rep.holomorphic.real, "im": rep.holomorphic.imag},
         "beta": {"re": rep.beta_part.real, "im": rep.beta_part.imag},
@@ -401,12 +390,10 @@ def _run_w_eval(args: argparse.Namespace) -> tuple[int, str]:
 )
 def _run_ratio_test(args: argparse.Namespace) -> tuple[int, str]:
     from . import qseries
-    from .qfield import make_field
 
-    field = make_field(args.d)
-    _check_scan_budget(field, args.nmax)
+    _check_scan_budget(args.field, args.nmax)
     _check_orbit_budget(args.nmax, args.k_range)
-    report = qseries.holomorphic_ratio_test(field, args.nmax, args.k_range)
+    report = qseries.holomorphic_ratio_test(args.field, args.nmax, args.k_range)
     ratios = sorted(report.ratios.items())
     payload = {
         "d": report.d,
@@ -436,9 +423,7 @@ def _run_ratio_test(args: argparse.Namespace) -> tuple[int, str]:
 )
 def _run_combine(args: argparse.Namespace) -> tuple[int, str]:
     from . import qseries
-    from .qfield import make_field
 
-    field = make_field(args.d)
     try:
         with open(args.interior, encoding="utf-8") as fh:
             table = qseries.InteriorTable.from_json(fh.read())
@@ -446,8 +431,9 @@ def _run_combine(args: argparse.Namespace) -> tuple[int, str]:
         raise InputError(f"cannot read interior table: {exc}") from exc
     if args.m is not None and args.m != table.m:
         raise InputError(f"--m {args.m} does not match the table's m = {table.m}")
-    _check_scan_budget(field, args.nmax, table.m)
-    q = qseries.combine_interior(table, field, args.nmax)
+    qseries._check_covers(table, args.nmax)
+    _check_scan_budget(args.field, args.nmax, table.m)
+    q = qseries.combine_interior(table, args.field, args.nmax)
     return 0, _render_qexp(args.format, q)
 
 
@@ -486,6 +472,10 @@ def main(argv=None) -> int:
                 raise InputError(f"--{name.replace('_', '-')} needs a value, got '--'")
         if args.format == "csv" and not args.tables:
             raise InputError(f"--format csv is not available for {args.command}")
+        if _COMMANDS[args.command][2]:  # the subcommand takes --d
+            from .qfield import make_field
+
+            args.field = make_field(args.d)
         code, text = args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,9 +6,10 @@ class mu runs min' = gcd-many times parallel along the line R*mu, and two
 families link inside the Sol cross-section, where the gluing is multiplication
 by the conjugate totally positive fundamental unit.  The symplectic form is
 <x, y> = (x*y' - x'*y)/sqrt(disc), the w-coordinate of x*y', an integer on
-O_K.  Class reps and eps are integers of the field, so the sums here run on
-their int coordinates (_mul, _unit_ints), and each returned value is one
-Fraction over N(eps - 1).  Linking numbers come from per-norm class sums
+O_K.  Class reps are integers of the field, so the sums here run on their
+int coordinates: multiplication by eps' is the matrix field.gluing, by
+(eps - 1)' is gluing - I, and each returned value is one Fraction over
+field.n_det = N(eps - 1).  Linking numbers come from per-norm class sums
 (_link_numbers); the component-pair double sum they reduce to is the test
 oracle tests/oracles.link_boundary.
 """
@@ -65,18 +66,6 @@ def _link_numbers(field: FieldData, ns, ms) -> dict:
     return _link_cells(field, comps, ns, ms)
 
 
-def _mul(field: FieldData, x, y) -> tuple[int, int]:
-    """(x0 + x1*w)*(y0 + y1*w) on int pairs; w^2 = s0*w - n0."""
-    cross = x[1] * y[1]
-    return (x[0] * y[0] - cross * field.n0, x[0] * y[1] + x[1] * y[0] + cross * field.s0)
-
-
-def _unit_ints(field: FieldData) -> tuple[tuple[int, int], tuple[int, int], int]:
-    """eps and (eps - 1)' as int pairs, and N(eps - 1) = 2 - Tr(eps)."""
-    a, b = field.eps.a, field.eps.b
-    return (a, b), (a + b * field.s0 - 1, -b), 2 - 2 * a - b * field.s0
-
-
 def _link_cells(field: FieldData, comps: dict, ns, ms) -> dict:
     """_link_numbers from comps, the boundary components of every norm in ns
     and ms, for callers that need the components themselves as well."""
@@ -84,20 +73,21 @@ def _link_cells(field: FieldData, comps: dict, ns, ms) -> dict:
     for k, cs in comps.items():
         reps = [c.cls.rep for c in cs]
         coords[k] = (sum(r.a for r in reps), sum(r.b for r in reps))
-    _, gc, den = _unit_ints(field)
+    (g00, g01), (g10, g11) = field.gluing
     doubled = [(m, 2 * coords[m][0], 2 * coords[m][1]) for m in ms]
     out = {}
-    # every cell has the denominator den, so its numerator fixes its value; a
+    # every cell has the denominator n_det, so its numerator fixes its value; a
     # norm without classes zeroes a whole row and column, so few values repeat
     # over many cells and each distinct one is built once per call
     values = {}
     for n in ns:
-        p, q = _mul(field, coords[n], gc)
+        x0, x1 = coords[n]
+        p, q = g00 * x0 + g01 * x1 - x0, g10 * x0 + g11 * x1 - x1  # (gluing - I) S_n
         for m, a2, b2 in doubled:
             num = q * a2 - p * b2
             value = values.get(num)
             if value is None:
-                value = values[num] = Fraction(num, den)
+                value = values[num] = Fraction(num, field.n_det)
             out[n, m] = value
     return out
 
@@ -120,16 +110,18 @@ def link_boundary_closed(field: FieldData, n) -> Fraction:
     """
     _check_norm_one(field)
     s0 = field.s0
-    eps, gc, den = _unit_ints(field)
+    (g00, g01), (g10, g11) = field.gluing
     total = 0
     for cls in enumerate_norm_classes(field, n):
         a, b = cls.rep.a, cls.rep.b
-        c = _mul(field, (a + b * s0, -b), eps)  # mu'*eps, with w' = s0 - w
-        p, q = _mul(field, (a + c[0], b + c[1]), gc)
+        # mu*eps' = gluing (a, b), and mu'*eps is its conjugate, with w' = s0 - w
+        e0, e1 = g00 * a + g01 * b, g10 * a + g11 * b
+        x0, x1 = a + e0 + s0 * e1, b - e1  # mu + mu'*eps
+        p, q = g00 * x0 + g01 * x1 - x0, g10 * x0 + g11 * x1 - x1  # Y, as (gluing - I)(x0, x1)
         if 2 * p + s0 * q:
             raise ConsistencyError(f"closed-form term for {cls.rep!r} is not rational*sqrt(disc)")
         total += q
-    return Fraction(total, den)
+    return Fraction(total, field.n_det)
 
 
 @dataclass(frozen=True)
@@ -147,4 +139,4 @@ def link_table(field: FieldData, nmax: int) -> LinkTable:
     """All pairwise boundary linking numbers for n, m <= nmax."""
     _check_index("nmax", nmax)
     ks = range(1, nmax + 1)
-    return LinkTable(d=field.d, nmax=nmax, n_det=_unit_ints(field)[2], entries=_link_numbers(field, ks, ks))
+    return LinkTable(d=field.d, nmax=nmax, n_det=field.n_det, entries=_link_numbers(field, ks, ks))

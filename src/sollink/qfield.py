@@ -43,6 +43,13 @@ class FieldData:
     eps0_norm (+1 or -1), eps (totally positive fundamental unit) and eps_sq,
     the integers (T, U) with eps^2 = (T + U*sqrt(disc))/2.  Instances are
     immutable after construction.
+
+    The cusp section at infinity, R^2/O_K glued by eps', is read from here by
+    every layer: gluing is the int matrix of multiplication by eps' on the
+    basis (1, w), and n_det = 2 - Tr(eps) = N(eps - 1) = det(gluing - I).
+    The monodromy is eps; for SL2(O_K) it is eps0^2 (diag(u, 1/u) acts by
+    z -> u^2*z), so where N(eps0) = +1 (d = 3, 6, 7, 79, ...) the SL2(O_K)
+    cusp section is the 2-fold cover of this one.
     """
 
     def __init__(self, d: int):
@@ -67,6 +74,10 @@ class FieldData:
         # a + b*w = (2a + s0*b + b*sqrt(disc))/2, so T = trace(eps^2), U = its b
         e2 = self.eps * self.eps
         self.eps_sq = (e2.trace(), e2.b)
+        # eps' = c0 + c1*w maps 1 to eps' and w to eps'*w = -c1*n0 + (c0 + c1*s0)*w
+        c0, c1 = self.eps.a + self.eps.b * self.s0, -self.eps.b
+        self.gluing = ((c0, -c1 * self.n0), (c1, c0 + c1 * self.s0))
+        self.n_det = 2 - self.eps.trace()
 
     def element(self, a: int, b: int = 0) -> "QuadElem":
         """The integer a + b*w; InputError unless a and b are ints."""

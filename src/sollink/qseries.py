@@ -363,6 +363,18 @@ class InteriorTable:
         return cls(m=m, entries=entries, provenance=str(raw.get("provenance", "")))
 
 
+def _check_covers(table: InteriorTable, nmax: int) -> None:
+    """InputError naming the first _MISSING_SHOWN n in 1..nmax the table
+    lacks and counting the rest.  Those lie in 1..len(entries) +
+    _MISSING_SHOWN, so the cost grows with the table, not with nmax."""
+    gaps = nmax - sum(1 for n in table.entries if 1 <= n <= nmax)
+    if gaps > 0:
+        top = min(nmax, len(table.entries) + _MISSING_SHOWN)
+        shown = [n for n in range(1, top + 1) if n not in table.entries][:_MISSING_SHOWN]
+        more = f" and {gaps - _MISSING_SHOWN} more" if gaps > _MISSING_SHOWN else ""
+        raise InputError(f"interior table is missing n = {', '.join(map(str, shown))}{more}")
+
+
 def combine_interior(table: InteriorTable, field: FieldData, nmax: int) -> QExpansion:
     """Subtract the boundary linking numbers from supplied interior numbers:
     coefficient(n) = interior(n, m) - Lk(C_n, C_m) for n = 1..nmax.
@@ -374,15 +386,11 @@ def combine_interior(table: InteriorTable, field: FieldData, nmax: int) -> QExpa
     tests/test_cycles.py::test_closed_form_satisfies_hirzebruch_zagier pins
     it as an Eisenstein series at D in {5, 8, 13, 17}.
 
-    Every n in range must be present in the table; one InputError lists the
-    first _MISSING_SHOWN gaps and counts the rest.
+    Every n in range must be present in the table (_check_covers).
     """
     _check_index("m", table.m)
     _check_index("nmax", nmax)
-    missing = [n for n in range(1, nmax + 1) if n not in table.entries]
-    if missing:
-        more = f" and {len(missing) - _MISSING_SHOWN} more" if len(missing) > _MISSING_SHOWN else ""
-        raise InputError(f"interior table is missing n = {', '.join(map(str, missing[:_MISSING_SHOWN]))}{more}")
+    _check_covers(table, nmax)
     column = _link_numbers(field, range(1, nmax + 1), (table.m,))
     coeffs = {n: table.entries[n] - column[n, table.m] for n in range(1, nmax + 1)}
     return QExpansion(d=field.d, m=table.m, weight=2, nmax=nmax, coeffs=coeffs)

@@ -89,12 +89,8 @@ def _gamma0(m: SolManifold, a: Vec) -> Vec:
 
 
 def glueing_from_unit(field: FieldData) -> SolManifold:
-    """Gluing matrix of multiplication by eps' on the integer basis (1, w)."""
-    eps_conj = field.eps.conj()
-    c1 = eps_conj  # eps' * 1
-    c2 = eps_conj * field.omega
-    f = ((c1.a, c2.a), (c1.b, c2.b))
-    return make_sol(f)
+    """The field's cusp at infinity: multiplication by eps' on (1, w)."""
+    return make_sol(field.gluing)
 
 
 def link_fiber(m: SolManifold, a, b) -> Fraction:
@@ -221,7 +217,8 @@ def cap_intersect(cap: CapChain, m: SolManifold, b, s_b) -> Fraction:
     contributing sgn(det), so the signed count is det itself.  Parallel
     classes (det 0) contribute nothing (a generic translate is disjoint).
     """
-    s_b = Fraction(s_b)
+    if type(s_b) not in (int, Fraction):
+        raise InputError(f"fiber parameter must be an int or a Fraction, got {s_b!r}")
     if not 0 < s_b < 1:
         raise InputError(f"fiber parameter must lie in (0, 1), got {s_b}")
     if cap.f != m.f:

@@ -6,6 +6,7 @@ form and the beta lattice sum are the exact-element routes: every candidate,
 class or lattice point is a QuadElem, tested, embedded and normed on its own.
 The orbit-minimum coefficient evaluates every term once per sign, over the
 library's classes, and eval_W's holomorphic half recomputes it per call.
+The cusp gluing is the matrix of the QuadElem products eps'*1 and eps'*w.
 Boundary linking numbers come from the component-pair double sum, and norm
 solutions from an unreduced box search.  Caps come with Fraction vertices and
 shoelace areas, and their crossing count from the lattice points of a
@@ -158,6 +159,14 @@ def brute_force_norm_solutions(field: FieldData, n: int, bound: int) -> list[Qua
                 out.append(x)
     out.sort(key=lambda x: (x.a, x.b))
     return out
+
+
+def gluing_reference(field: FieldData) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The matrix of multiplication by eps' on the basis (1, w), its columns
+    the QuadElem products eps'*1 and eps'*w."""
+    c1 = field.eps.conj()
+    c2 = c1 * field.omega
+    return ((c1.a, c2.a), (c1.b, c2.b))
 
 
 def symplectic_pairing(x: QuadElem, y: QuadElem) -> int:

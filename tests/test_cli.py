@@ -45,6 +45,11 @@ def test_field_info_rejects_non_squarefree(capsys):
     assert code == 2 and out == "" and "error:" in err
 
 
+def test_w_eval_reports_a_bad_d_before_a_bad_tau(capsys):
+    # main builds the field before any handler checks its own flags
+    assert run(capsys, "w-eval", "--d", "4", "--tau", "abc") == (2, "", "error: d must be squarefree, got 4\n")
+
+
 def test_field_info_rejects_oversized_d(capsys):
     code, out, err = run(capsys, "field-info", "--d", "100000000000000003")
     assert code == 2 and out == ""
@@ -598,12 +603,19 @@ def test_combine_incomplete_table(tmp_path, capsys):
     assert code == 2 and "missing n = 2, 3" in err
 
 
-def test_combine_counts_the_missing_indices_past_ten(tmp_path, capsys):
+def test_combine_counts_the_missing_indices_past_ten(tmp_path, capsys, monkeypatch):
+    # the gaps are found before the scan budget is planned, at a cost that
+    # does not grow with nmax, and also at an nmax over the budget
+    def unplanned(*args):
+        raise AssertionError("the scan budget was planned for a table with gaps")
+
+    monkeypatch.setattr(cli, "_check_scan_budget", unplanned)
     table = tmp_path / "interior.json"
     table.write_text(json.dumps({"m": 1, "entries": {"1": "5"}}), encoding="utf-8")
-    code, out, err = run(capsys, "combine", "--d", "5", "--interior", str(table), "--nmax", "100000")
-    assert (code, out) == (2, "")
-    assert err == "error: interior table is missing n = 2, 3, 4, 5, 6, 7, 8, 9, 10, 11 and 99989 more\n"
+    for nmax in (100000, 10**18):
+        code, out, err = run(capsys, "combine", "--d", "5", "--interior", str(table), "--nmax", str(nmax))
+        assert (code, out) == (2, "")
+        assert err == f"error: interior table is missing n = 2, 3, 4, 5, 6, 7, 8, 9, 10, 11 and {nmax - 11} more\n"
 
 
 # Whole interior files that json.loads rejects with RecursionError or, over the

@@ -38,7 +38,7 @@ def test_importing_the_cli_loads_no_layer():
         (("boundary", "--d", "5", "--n", "4"), {"cycles"}, {"sol", "qseries", "special_fn", "selftest"}),
         (("sol-cap", "--f", "2,1,1,1", "--a", "1,0"), {"sol"}, {"qfield", "cycles", "qseries", "special_fn", "selftest"}),
         (("qexp", "--d", "5", "--nmax", "4"), {"cycles", "qseries"}, {"sol", "selftest"}),
-        (("field-info", "--d", "5"), {"qfield"}, {"sol", "qseries", "special_fn", "selftest"}),
+        (("field-info", "--d", "5"), {"qfield"}, {"sol", "cycles", "qseries", "special_fn", "selftest"}),
     ],
 )
 def test_a_subcommand_loads_only_its_layers(argv, runs, skips):

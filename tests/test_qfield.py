@@ -26,7 +26,7 @@ from sollink.qfield import (
     _wheel,
 )
 from conftest import field
-from oracles import brute_force_norm_solutions, enumerate_norm_classes_reference, pell_units
+from oracles import brute_force_norm_solutions, enumerate_norm_classes_reference, gluing_reference, pell_units
 
 # (d, eps0 coords, eps0 norm, eps coords) on the (1, w) basis
 KNOWN_UNITS = [
@@ -198,13 +198,17 @@ def test_enumeration_matches_brute_force(d):
         assert reduced == listed, f"d={d} n={n}"
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 13, 46, 94])
+# 3, 7, 21 and 79 have a fundamental unit of norm +1, on both bases
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 13, 21, 46, 79, 94])
 def test_eps_sq_coordinates(d):
     f = field(d)
     big_t, big_u = f.eps_sq
     assert big_t * big_t - f.disc * big_u * big_u == 4  # norm(eps^2) = 1
     assert (big_t - f.s0 * big_u) % 2 == 0
     assert f.element((big_t - f.s0 * big_u) // 2, big_u) == f.eps * f.eps
+    # the cusp gluing: multiplication by eps' on (1, w), and N(eps - 1)
+    assert f.gluing == gluing_reference(f)
+    assert f.n_det == (f.eps - 1).norm()
 
 
 # (d, n) at which the residue table engages and one of its primes divides

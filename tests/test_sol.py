@@ -173,6 +173,10 @@ def test_cap_intersect_validation():
     for bad_s in (0, 1, Fraction(3, 2), -1):
         with pytest.raises(InputError):
             cap_intersect(cap, m, (0, 1), bad_s)
+    # the offset rule of build_cap: an int or a Fraction, nothing that converts
+    for bad_s in ("1/3", float("nan"), float("inf"), None, 0.5, True):
+        with pytest.raises(InputError, match="fiber parameter must be an int or a Fraction"):
+            cap_intersect(cap, m, (0, 1), bad_s)
     other = make_sol(((3, 1), (2, 1)))  # different N_det
     with pytest.raises(InputError):
         cap_intersect(cap, other, (0, 1), Fraction(1, 2))
