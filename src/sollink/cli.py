@@ -165,7 +165,7 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
         for flag, kw in flags:
             p.add_argument(flag, **kw)
         p.add_argument("--output", default=None, help="write output to this file instead of stdout")
-        p.add_argument("--format", choices=("json", "csv", "text"), default=None)
+        p.add_argument("--format", choices=("json", "csv", "text"), default="json" if tables else "text")
     return parser
 
 
@@ -176,7 +176,7 @@ _NMAX = ("--nmax", dict(type=int, required=True))
 @_command("field-info", "ring, discriminant, and unit data", d=True)
 def _run_field_info(args: argparse.Namespace) -> tuple[int, str]:
     field = args.field
-    basis = "(1 + sqrt(d))/2" if field.d % 4 == 1 else "sqrt(d)"
+    basis = "(1 + sqrt(d))/2" if field.s0 else "sqrt(d)"
     payload = {
         "d": field.d,
         "disc": field.disc,
@@ -464,8 +464,6 @@ def main(argv=None) -> int:
         args = _build_parser(only).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.format is None:
-        args.format = "json" if args.tables else "text"
     try:
         for name, value in vars(args).items():
             if value == []:  # argparse before 3.13 reads --flag=-- as [] and skips the flag's type

@@ -121,7 +121,7 @@ def _coerced(op):
 
     @functools.wraps(op)
     def wrapper(self, other):
-        if isinstance(other, int):
+        if _is_int(other):
             other = QuadElem(self.field, other, 0)
         elif not isinstance(other, QuadElem):
             return NotImplemented
@@ -144,7 +144,7 @@ class QuadElem:
     def __eq__(self, other) -> bool:
         if isinstance(other, QuadElem):
             return self.field == other.field and self.a == other.a and self.b == other.b
-        if isinstance(other, int):
+        if _is_int(other):
             return self.b == 0 and self.a == other
         return NotImplemented
 
@@ -216,8 +216,7 @@ class QuadElem:
     def embed(self, conjugate: bool = False) -> float:
         """Float value under the chosen real embedding (for numerics only)."""
         f = self.field
-        rt = math.sqrt(f.d)
-        w = (f.s0 + rt) / 2 if f.d % 4 == 1 else rt
+        w = (f.s0 + math.sqrt(f.disc)) / 2
         if conjugate:
             w = f.s0 - w
         return float(self.a) + float(self.b) * w
@@ -252,10 +251,7 @@ def fundamental_unit(field: FieldData) -> QuadElem:
     """
     d = field.d
     rt = math.isqrt(d)
-    if d % 4 == 1:
-        pp, qq = 1, 2
-    else:
-        pp, qq = 0, 1
+    pp, qq = field.s0, field.s0 + 1
     p_prev, p_cur = 0, 1  # p_{-2}, p_{-1}
     q_prev, q_cur = 1, 0  # q_{-2}, q_{-1}; first step yields p0 = a0, q0 = 1
     for _ in range(200000):

@@ -322,6 +322,22 @@ GOLDEN_STDOUT = {
         "    3,\n    6,\n    7,\n    8,\n    10,\n    12\n  ],\n"
         '  "inconsistent": []\n}\n'
     ),
+    # every suite's verdict and detail, and the summary line
+    "self-test --seed 0": (
+        "ok   sol-oracle: 100 random gluings agree exactly\n"
+        "ok   sol-bilinear: 60 linearity probes agree exactly\n"
+        "ok   sol-conjugation: 60 conjugations agree exactly\n"
+        "ok   sol-asymmetry: 60 asymmetry probes agree exactly\n"
+        "ok   caps: 50 random caps close exactly\n"
+        "ok   flow-derivative: max rel err 5.08e-07 over 50 points\n"
+        "ok   pde: max rel err 1.42e-05 over 50 points\n"
+        "ok   jump-cancellation: 40 crossings continuous\n"
+        "ok   cone-continuity: 40 cone approaches continuous\n"
+        "ok   beta: value at 0, monotone decay, branch agreement\n"
+        "ok   orbit-invariance: 40 orbit moves preserve the form\n"
+        "ok   ratio-quick: spread 3.33e-16 over 4 ratios\n"
+        "12/12 suites passed (seed 0)\n"
+    ),
 }
 
 

@@ -87,6 +87,7 @@ def test_make_field_rejects_oversized_d_quickly():
 
 def test_is_squarefree():
     assert [d for d in range(2, 20) if is_squarefree(d)] == [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19]
+    assert not is_squarefree(0) and not is_squarefree(-5)
 
 
 def _times_eps_power(f, x, k):
@@ -413,12 +414,20 @@ def test_cross_field_operations_rejected():
         field(5).element(1) + field(13).element(1)
 
 
+class _IntSubclass(int):
+    pass
+
+
 @pytest.mark.parametrize(
     "op", [operator.add, operator.sub, operator.mul, operator.truediv, operator.lt, operator.le, operator.gt, operator.ge]
 )
 def test_foreign_operands_raise_type_error(field5, op):
+    # an int operand is a value of type exactly int (errors._is_int)
     x = field5.element(1, 1)
-    with pytest.raises(TypeError):
-        op(x, 1.5)
-    with pytest.raises(TypeError):
-        op(1.5, x)
+    for other in (1.5, True, _IntSubclass(1)):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+    one = field5.element(1)
+    assert one == 1 and one != True and one != _IntSubclass(1)  # noqa: E712

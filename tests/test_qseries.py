@@ -259,7 +259,8 @@ def test_interior_table_validation():
     for entry in ("0.1", "2.0", "true", "false", "null"):
         with pytest.raises(InputError, match="not a rational literal"):
             InteriorTable.from_json('{"m": 1, "entries": {"1": %s}}' % entry)
-    for m in ("1.5", "1.0", "true"):
+    # a JSON string m is read by int(): "1.5" and "x" are not ints
+    for m in ("1.5", "1.0", "true", '"1.5"', '"x"'):
         with pytest.raises(InputError, match="bad m"):
             InteriorTable.from_json('{"m": %s, "entries": {}}' % m)
 

@@ -63,10 +63,14 @@ def test_gluing_from_unit_trace(field13):
         ((0, -1), (1, 0)),  # trace 0
         ((2, 1), (1.0, 1)),  # non-integer entry
         ((1, 2, 3), (4, 5, 6)),  # shape
+        ((2, 1),),  # one row
+        5,  # not a matrix
+        ((2, 1), (1, 1), (0, 1)),  # three rows
     ],
 )
 def test_make_sol_rejects(bad):
-    with pytest.raises(InputError):
+    two_rows = isinstance(bad, tuple) and len(bad) == 2
+    with pytest.raises(InputError, match=None if two_rows else "gluing must be a 2x2 matrix"):
         make_sol(bad)
 
 
