@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,8 +29,34 @@ def _is_exact_json(value) -> bool:
     return isinstance(value, str) or _is_int(value)
 
 
+def _int_digit_limit() -> int:
+    """The interpreter's cap on the digits of an int read from or written as
+    text, 0 for none; json.loads holds JSON integers to it."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _check_literal_digits(text: str) -> None:
+    """InputError when a rational literal spells an integer of more digits
+    than _int_digit_limit: the longer side of "p/q", or a decimal's digits
+    plus |exponent|.  It reads the text before Fraction does, which takes
+    seconds to expand an exponent like 1e10000000."""
+    limit = _int_digit_limit()
+    if not limit:
+        return
+    head, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    digits = max(sum(c.isdigit() for c in side) for side in head.split("/"))
+    if exponent.isdecimal():
+        # int() refuses an exponent longer than the limit, which exceeds it anyway
+        digits += int(exponent) if len(exponent) <= limit else limit + 1
+    if digits > limit:
+        raise InputError(f"rational literal of more than {limit} digits, starting {text[:20]!r}")
+
+
 def _fraction_from_json(value) -> Fraction:
     if _is_exact_json(value):
+        if isinstance(value, str):
+            _check_literal_digits(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -255,8 +282,21 @@ def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
     O(1/v), and does not grow with the box once the box covers it.  Every
     skipped term has e^{-pi v (...)} == 0.0 exactly (math.exp is 0.0 below
     about -745.13), so adding it would change neither the sum nor the shell
-    sum: the visited points are summed in the same order (a outer, b
-    ascending) and the result is bit-identical to the full box.
+    sum.
+
+    lambda and -lambda give the same term bit for bit: -a + (-b)*w is
+    -(a + b*w) exactly, and the term reads lambda only through b^2,
+    x^2 + y^2 and N(lambda).  Row -a's b range is row a's negated (the same
+    float root, and floor(-x) == -ceil(x)).  So the points with a < 0, and
+    those of row 0 with b <= 0, compute their terms and keep them, one list
+    per row; every other point adds the kept term of its mirror (-a, -b),
+    reading the mirror row backwards.  About (V + 1)/2 of the V visited
+    points are computed, yet each term is still added once, in the order
+    a outer, b ascending, so beta_part and beta_tail are bit-identical to
+    the full box summed point by point.  A kept term costs about 40 bytes
+    until its mirror row has read it: at the largest lattice, box 1000 with
+    all 4*10^6 points weighing (Im tau = 1e-8), about 2*10^6 terms are
+    kept at once and the w-eval process peaks at about 94 MB.
     """
     tau = params.tau
     u, v = tau.real, tau.imag
@@ -294,6 +334,9 @@ def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
     gauss, phase = -math.pi * v, 2j * math.pi
     beta_sum = 0.0j
     shell_abs = 0.0
+    # row a <= 0 -> its terms (row 0: b < 0) and its shell |mag|, in b order,
+    # until row -a has added them back
+    kept = {}
     rows = min(box, math.isqrt(int(q_bb * q_cut / field.disc)) + 1)
     for a in range(-rows, rows + 1):
         root_sq = q_bb * q_cut - field.disc * a * a
@@ -302,13 +345,29 @@ def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
         root = math.sqrt(root_sq)
         lo = max(math.floor((-field.s0 * a - root) / q_bb) - 1, -reach)
         hi = min(math.ceil((-field.s0 * a + root) / q_bb) + 1, reach)
-        on_shell = abs(a) == box
-        for b, beta, bw, bw_c, n_b in columns[lo + reach : hi + reach + 1]:
-            x, y = a + bw, a + bw_c
-            mag = beta * math.exp(gauss * (x * x + y * y))
-            beta_sum += mag * cmath.exp(phase * float(a * a + field.s0 * a * b + n_b) * u)
-            if on_shell or abs(b) == box:
-                shell_abs += abs(mag)
+        if a <= 0:
+            on_shell = abs(a) == box
+            terms, shell = kept[a] = [], []
+            for b, beta, bw, bw_c, n_b in columns[lo + reach : (hi if a else 0) + reach + 1]:
+                x, y = a + bw, a + bw_c
+                mag = beta * math.exp(gauss * (x * x + y * y))
+                term = mag * cmath.exp(phase * float(a * a + field.s0 * a * b + n_b) * u)
+                beta_sum += term
+                terms.append(term)
+                if on_shell or abs(b) == box:
+                    shell.append(abs(mag))
+                    shell_abs += shell[-1]
+            if a:
+                continue
+            terms.pop()  # lambda = 0 is its own mirror
+        # row a >= 0 from b = 1 (a = 0) or lo on: the mirrors -lambda of row
+        # -a, which spans -hi..-lo, so read backwards; a plain loop, since
+        # sum() compensates on Python 3.12+
+        terms, shell = kept.pop(-a)
+        for term in reversed(terms):
+            beta_sum += term
+        for mag in reversed(shell):
+            shell_abs += mag
     beta_tail = abs(prefactor) * 2 * shell_abs
     return WEvalReport(
         holomorphic=holo,
@@ -386,11 +445,19 @@ def combine_interior(table: InteriorTable, field: FieldData, nmax: int) -> QExpa
     tests/test_cycles.py::test_closed_form_satisfies_hirzebruch_zagier pins
     it as an Eisenstein series at D in {5, 8, 13, 17}.
 
-    Every n in range must be present in the table (_check_covers).
+    Every n in range must be present in the table (_check_covers), and no
+    coefficient may have a numerator or denominator of more digits than
+    _int_digit_limit, since it could not be printed.
     """
     _check_index("m", table.m)
     _check_index("nmax", nmax)
     _check_covers(table, nmax)
     column = _link_numbers(field, range(1, nmax + 1), (table.m,))
     coeffs = {n: table.entries[n] - column[n, table.m] for n in range(1, nmax + 1)}
+    limit = _int_digit_limit()
+    if limit:
+        bound = 10**limit
+        for n, c in coeffs.items():
+            if max(abs(c.numerator), c.denominator) >= bound:
+                raise InputError(f"the coefficient of q^{n} has more than {limit} digits")
     return QExpansion(d=field.d, m=table.m, weight=2, nmax=nmax, coeffs=coeffs)

@@ -668,6 +668,30 @@ def test_combine_rejects_malformed_interior(tmp_path, capsys, entries):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+# Interior entries that spell integers over the digit limit: three literals,
+# the last of which Fraction alone does not expand within 20 s, and one that parses
+# but whose coefficient 1/77...7 - Lk(1, 1) has a 4301-digit numerator
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300, reason="default digit limit")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("1e5000", "rational literal of more than 4300 digits, starting '1e5000'"),
+        ("1e-5000", "rational literal of more than 4300 digits, starting '1e-5000'"),
+        ("1/" + "7" * 4300, "the coefficient of q^1 has more than 4300 digits"),
+        ("1e100000000", "rational literal of more than 4300 digits, starting '1e100000000'"),
+    ],
+    ids=["exp-5000", "exp-minus-5000", "long-denominator", "exp-10^8"],
+)
+def test_combine_rejects_entries_over_the_digit_limit(tmp_path, capsys, entry, message, fmt):
+    table = tmp_path / "interior.json"
+    table.write_text(json.dumps({"m": 1, "entries": {"1": entry, "2": "0", "3": "0"}}), encoding="utf-8")
+    start = time.perf_counter()
+    result = run(capsys, "combine", "--d", "5", "--interior", str(table), "--nmax", "3", "--format", fmt)
+    assert time.perf_counter() - start < 1.0
+    assert result == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("target", ["directory", "missing-parent"])
 def test_unwritable_output_exits_2(tmp_path, capsys, target):
     path = tmp_path if target == "directory" else tmp_path / "missing" / "out.txt"

@@ -4,9 +4,11 @@ import cmath
 import json
 import math
 import re
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -263,6 +265,10 @@ def test_interior_table_validation():
     for m in ("1.5", "1.0", "true", '"1.5"', '"x"'):
         with pytest.raises(InputError, match="bad m"):
             InteriorTable.from_json('{"m": %s, "entries": {}}' % m)
+    # judged from the literal: Fraction alone does not expand it within 20 s
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        with pytest.raises(InputError, match="more than .* digits"):
+            InteriorTable.from_json('{"m": 1, "entries": {"1": "1e100000000"}}')
 
 
 def test_combine_interior(field5):
@@ -463,6 +469,27 @@ def test_eval_w_builds_only_reachable_columns(field5, monkeypatch):
     report = eval_W(field5, WEvalParams(tau=0.3 + 1j, box=1000, n_cut=1))
     assert calls == 21
     assert (report.beta_part, report.beta_tail) == beta_lattice_reference(field5, 0.3 + 1j, 40)
+
+
+# (tau, box, lattice phases): (V + 1)/2 of the V visited points, since
+# lambda = 0 is its own mirror.  The first kept ellipse lies inside box 40,
+# so the oracle sums that box; 0.3+0.05i at box 7 is clipped by the box
+@pytest.mark.parametrize(
+    "tau, box, phases",
+    [(0.3 + 1j, 1000, 209), (0.3 + 0.05j, 7, 113), (-0.4 + 2j, 40, 110)],
+)
+def test_eval_w_evaluates_each_mirror_pair_once(field5, monkeypatch, tau, box, phases):
+    calls = 0
+
+    def counting(z):
+        nonlocal calls
+        calls += 1
+        return cmath.exp(z)
+
+    monkeypatch.setattr(sollink.qseries, "cmath", SimpleNamespace(exp=counting, isfinite=cmath.isfinite))
+    report = eval_W(field5, WEvalParams(tau=tau, box=box, n_cut=1))
+    assert calls == 1 + phases  # one holomorphic phase at n_cut 1
+    assert (report.beta_part, report.beta_tail) == beta_lattice_reference(field5, tau, min(box, 40))
 
 
 def test_eval_w_period_one(field5):
