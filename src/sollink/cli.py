@@ -56,7 +56,11 @@ def _parse_ints(text: str, count: int, flag: str) -> tuple:
 # costs about 0.15-0.2 us, so the largest inputs the budget accepts run several
 # seconds (qexp and ratio-test up to nmax 71060 at d=13: 3.6 and 9.3 s on a
 # shared 2-core machine).  _check_orbit_budget charges the orbit-minimum terms
-# beyond that, which never binds at the default k-range.
+# beyond that, which never binds at the default k-range.  lk-table, qexp and
+# combine read the norms 1..nmax from one sweep of a fundamental domain
+# (qfield._norm_rep_sums) and scan only a column m > nmax, so for them the
+# budget is a loose upper bound (qexp --d 94 --nmax 300 runs in 0.08 s).  Its
+# values are kept, so every input keeps the exit code the scans gave it.
 # lk-table renders one line per cell.
 _SCAN_BUDGET = 3 * 10**7
 _NORM_COST = 256

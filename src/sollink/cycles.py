@@ -9,9 +9,10 @@ by the conjugate totally positive fundamental unit.  The symplectic form is
 O_K.  Class reps are integers of the field, so the sums here run on their
 int coordinates: multiplication by eps' is the matrix field.gluing, by
 (eps - 1)' is gluing - I, and each returned value is one Fraction over
-field.n_det = N(eps - 1).  Linking numbers come from per-norm class sums
-(_link_numbers); the component-pair double sum they reduce to is the test
-oracle tests/oracles.link_boundary.
+field.n_det = N(eps - 1).  Linking numbers come from per-norm sums of the
+class reps (_link_numbers), which a table reads for every norm up to nmax from
+one sweep of a fundamental domain (qfield._norm_rep_sums); the component-pair
+double sum they reduce to is the test oracle tests/oracles.link_boundary.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, _check_index
-from .qfield import FieldData, NormClass, QuadElem, enumerate_norm_classes
+from .qfield import FieldData, NormClass, QuadElem, _norm_rep_sums, enumerate_norm_classes
 
 
 @dataclass(frozen=True)
@@ -51,37 +52,43 @@ def boundary_components(field: FieldData, n) -> list[BoundaryComponent]:
     return out
 
 
-def _link_numbers(field: FieldData, ns, ms) -> dict:
-    """Lk(C_n, C_m) for n in ns and m in ms (both ascending), keyed (n, m) in
+def _rep_sum(classes) -> tuple[int, int]:
+    """(sum of a, sum of b) over the reps a + b*w of the given classes."""
+    reps = [cls.rep for cls in classes]
+    return sum(r.a for r in reps), sum(r.b for r in reps)
+
+
+def _link_numbers(field: FieldData, nmax: int, ms) -> dict:
+    """Lk(C_n, C_m) for n = 1..nmax and m in ms (ascending), keyed (n, m) in
     that order.
 
     The component-pair double sum of 2 * min'(mu) * min'(nu) * <g Jmu, Jnu>
     (tests/oracles.link_boundary, with g division by eps - 1) is bilinear and
     multiplicity * fiber label is the class rep, so
     Lk(n, m) = 2*<S_n/(eps - 1), S_m> with S_k the sum of the reduced norm-k
-    reps.  With S_n*(eps - 1)' = p + q*w and S_m = a + b*w the cell is
-    2*(q*a - p*b)/N(eps - 1), all integers.
+    reps.  S_1..S_nmax come from one sweep (qfield._norm_rep_sums), and a
+    column m > nmax from its own norm-class scan.
     """
-    comps = {k: boundary_components(field, k) for k in sorted({*ns, *ms})}
-    return _link_cells(field, comps, ns, ms)
+    sums = _norm_rep_sums(field, nmax)
+    for m in ms:
+        if m > nmax:
+            sums[m] = _rep_sum(enumerate_norm_classes(field, m))
+    return _link_cells(field, sums, range(1, nmax + 1), ms)
 
 
-def _link_cells(field: FieldData, comps: dict, ns, ms) -> dict:
-    """_link_numbers from comps, the boundary components of every norm in ns
-    and ms, for callers that need the components themselves as well."""
-    coords = {}
-    for k, cs in comps.items():
-        reps = [c.cls.rep for c in cs]
-        coords[k] = (sum(r.a for r in reps), sum(r.b for r in reps))
+def _link_cells(field: FieldData, sums: dict, ns, ms) -> dict:
+    """_link_numbers from sums, the rep sums S_k = (sum of a, sum of b) of
+    every norm k in ns and ms.  With S_n*(eps - 1)' = p + q*w and
+    S_m = a + b*w the cell is 2*(q*a - p*b)/N(eps - 1), all integers."""
     (g00, g01), (g10, g11) = field.gluing
-    doubled = [(m, 2 * coords[m][0], 2 * coords[m][1]) for m in ms]
+    doubled = [(m, 2 * sums[m][0], 2 * sums[m][1]) for m in ms]
     out = {}
     # every cell has the denominator n_det, so its numerator fixes its value; a
     # norm without classes zeroes a whole row and column, so few values repeat
     # over many cells and each distinct one is built once per call
     values = {}
     for n in ns:
-        x0, x1 = coords[n]
+        x0, x1 = sums[n]
         p, q = g00 * x0 + g01 * x1 - x0, g10 * x0 + g11 * x1 - x1  # (gluing - I) S_n
         for m, a2, b2 in doubled:
             num = q * a2 - p * b2
@@ -138,5 +145,5 @@ class LinkTable:
 def link_table(field: FieldData, nmax: int) -> LinkTable:
     """All pairwise boundary linking numbers for n, m <= nmax."""
     _check_index("nmax", nmax)
-    ks = range(1, nmax + 1)
-    return LinkTable(d=field.d, nmax=nmax, n_det=field.n_det, entries=_link_numbers(field, ks, ks))
+    entries = _link_numbers(field, nmax, range(1, nmax + 1))
+    return LinkTable(d=field.d, nmax=nmax, n_det=field.n_det, entries=entries)

@@ -455,3 +455,57 @@ def enumerate_norm_classes(field: FieldData, n: int) -> list[NormClass]:
     # the scan built a and b as ints, so the reps skip element()'s checks
     return [NormClass(QuadElem(field, a, b)) for a, b in coords]
 
+
+def _norm_rep_sums(field: FieldData, nmax: int) -> dict[int, tuple[int, int]]:
+    """{n: (sum of a, sum of b)} over the reps a + b*w that
+    enumerate_norm_classes(field, n) returns, for every n in 1..nmax, from one
+    sweep of a fundamental domain instead of one b-scan per norm.
+
+    The sweep walks the points x = (t + b*sqrt(disc))/2 of the symmetric
+    domain eps^-1 <= x/x' < eps, which, like 1 <= x/x' < eps^2, holds one
+    point of each orbit under eps^Z.  With eps = (T + U*sqrt(disc))/2, T its
+    trace and U > 0:
+
+    - The edge x/x' = eps is the ray of 1 + eps, where
+      b*sqrt(disc)/t = (eps - 1)/(eps + 1) = (T - 2)/(U*sqrt(disc)).  So the
+      domain is the exact int inequality t*(T - 2) > |b|*disc*U for b >= 0
+      (x/x' < eps, strict) and t*(T - 2) >= |b|*disc*U for b < 0
+      (x/x' >= eps^-1).
+    - Rows: on the edge of row b the norm (t^2 - disc*b^2)/4 is
+      b^2*disc/(T - 2), the least in the row, so only the rows
+      |b| <= sqrt(nmax*(T - 2)/disc) hold a point of norm at most nmax.
+    - Row b runs t from its edge up to isqrt(4*nmax + disc*b^2), in steps of
+      2 with t = s0*b mod 2, the points of O_K; each point gives its norm
+      directly, with no square test.
+    - Each point is totally positive: the edge gives t > 0 and
+      |b|*sqrt(disc) <= t*(eps - 1)/(eps + 1) < t, so x + x' = t > 0 and
+      x*x' = n > 0.
+    - A point with b >= 0 has 1 <= x/x' < eps and is its class's rep as it
+      is.  One with b < 0 has eps^-1 <= x/x' < 1, and its rep is x*eps, whose
+      ratio is eps^2 times as large.  The sums are linear, so the points of
+      the rows b < 0 are summed apart and moved by one factor eps per norm.
+    """
+    disc, s0 = field.disc, field.s0
+    big_t, big_u = field.eps.trace(), field.eps.b
+    size = nmax + 1
+    # (t sums, b sums) by norm, for the rows b >= 0 and the rows b < 0
+    upper, lower = ([0] * size, [0] * size), ([0] * size, [0] * size)
+    rows = math.isqrt(nmax * (big_t - 2) // disc)
+    for b in range(-rows, rows + 1):
+        t_sums, b_sums = lower if b < 0 else upper
+        db2 = disc * b * b
+        reach = abs(b) * disc * big_u
+        t_lo = -(-reach // (big_t - 2)) if b < 0 else reach // (big_t - 2) + 1
+        t_lo += (t_lo - s0 * b) % 2
+        for t in range(t_lo, math.isqrt(4 * nmax + db2) + 1, 2):
+            n = (t * t - db2) >> 2
+            t_sums[n] += t
+            b_sums[n] += b
+    sums = {}
+    for n in range(1, size):
+        # x*eps = ((T*t + U*disc*b) + (U*t + T*b)*sqrt(disc))/4
+        lt, lb = lower[0][n], lower[1][n]
+        t = upper[0][n] + (big_t * lt + big_u * disc * lb) // 2
+        b = upper[1][n] + (big_u * lt + big_t * lb) // 2
+        sums[n] = ((t - s0 * b) // 2, b)
+    return sums

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import InputError, _check_index, _is_int
 from .qfield import FieldData, enumerate_norm_classes
-from .cycles import _link_cells, _link_numbers, boundary_components
+from .cycles import _link_cells, _link_numbers, _rep_sum, boundary_components
 from .special_fn import beta_scaled
 
 
@@ -35,14 +35,30 @@ def _int_digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+# The digit cap of a rational literal where the interpreter sets none
+# (PYTHONINTMAXSTRDIGITS=0, or Python 3.10): CPython's default limit.
+_LITERAL_DIGITS_MAX = 4300
+# An error names a rejected interior-table value or key by at most this many
+# characters of its repr, so a long one still gives a short line.
+_QUOTE_MAX = 40
+
+
+def _quote(value) -> str:
+    """repr(value), or for a long value the start of its ascii() form and the
+    length of its repr."""
+    text = repr(value)
+    if len(text) <= _QUOTE_MAX:
+        return text
+    return f"{ascii(value)[:_QUOTE_MAX]}... ({len(text)} characters)"
+
+
 def _check_literal_digits(text: str) -> None:
     """InputError when a rational literal spells an integer of more digits
-    than _int_digit_limit: the longer side of "p/q", or a decimal's digits
-    plus |exponent|.  It reads the text before Fraction does, which takes
-    seconds to expand an exponent like 1e10000000."""
-    limit = _int_digit_limit()
-    if not limit:
-        return
+    than _int_digit_limit, or than _LITERAL_DIGITS_MAX where that is 0: the
+    longer side of "p/q", or a decimal's digits plus |exponent|.  It reads
+    the text before Fraction does, which takes seconds to expand an exponent
+    like 1e10000000."""
+    limit = _int_digit_limit() or _LITERAL_DIGITS_MAX
     head, _, exponent = text.lower().partition("e")
     exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     digits = max(sum(c.isdigit() for c in side) for side in head.split("/"))
@@ -61,7 +77,7 @@ def _fraction_from_json(value) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
-    raise InputError(f"not a rational literal: {value!r}")
+    raise InputError(f"not a rational literal: {_quote(value)}")
 
 
 def _unique_keys(pairs) -> dict:
@@ -70,7 +86,7 @@ def _unique_keys(pairs) -> dict:
     out = {}
     for key, value in pairs:
         if key in out:
-            raise InputError(f"interior table repeats the key {key!r}")
+            raise InputError(f"interior table repeats the key {_quote(key)}")
         out[key] = value
     return out
 
@@ -91,7 +107,7 @@ def lk_qexpansion(field: FieldData, m: int, nmax: int) -> QExpansion:
     rational q-expansion in the first index."""
     _check_index("m", m)
     _check_index("nmax", nmax)
-    column = _link_numbers(field, range(1, nmax + 1), (m,))
+    column = _link_numbers(field, nmax, (m,))
     coeffs = {n: column[n, m] for n in range(1, nmax + 1)}
     return QExpansion(d=field.d, m=m, weight=2, nmax=nmax, coeffs=coeffs)
 
@@ -156,7 +172,7 @@ def holomorphic_ratio_test(field: FieldData, nmax: int, k_range: int) -> RatioRe
     ns = range(1, nmax + 1)
     # one enumeration per norm, shared by the Lk column and the orbit-minimum sum
     comps = {n: boundary_components(field, n) for n in ns}
-    column = _link_cells(field, comps, ns, (1,))
+    column = _link_cells(field, {n: _rep_sum(c.cls for c in cs) for n, cs in comps.items()}, ns, (1,))
     for n in ns:
         lk = column[n, 1]
         mn = _orbit_min_sum(field, [c.cls for c in comps[n]], k_range)
@@ -406,7 +422,7 @@ class InteriorTable:
         except ValueError:
             m = None
         if m is None:
-            raise InputError(f"bad m in interior table: {raw['m']!r}")
+            raise InputError(f"bad m in interior table: {_quote(raw['m'])}")
         _check_index("interior table m", m)
         if not isinstance(raw["entries"], dict):
             raise InputError("interior table 'entries' must be a JSON object")
@@ -415,9 +431,9 @@ class InteriorTable:
             try:
                 n = int(key)
             except ValueError as exc:
-                raise InputError(f"bad index in interior table: {key!r}") from exc
+                raise InputError(f"bad index in interior table: {_quote(key)}") from exc
             if n in entries:
-                raise InputError(f"interior table repeats n = {n} (key {key!r})")
+                raise InputError(f"interior table repeats n = {n} (key {_quote(key)})")
             entries[n] = _fraction_from_json(val)
         return cls(m=m, entries=entries, provenance=str(raw.get("provenance", "")))
 
@@ -452,7 +468,7 @@ def combine_interior(table: InteriorTable, field: FieldData, nmax: int) -> QExpa
     _check_index("m", table.m)
     _check_index("nmax", nmax)
     _check_covers(table, nmax)
-    column = _link_numbers(field, range(1, nmax + 1), (table.m,))
+    column = _link_numbers(field, nmax, (table.m,))
     coeffs = {n: table.entries[n] - column[n, table.m] for n in range(1, nmax + 1)}
     limit = _int_digit_limit()
     if limit:

@@ -692,6 +692,51 @@ def test_combine_rejects_entries_over_the_digit_limit(tmp_path, capsys, entry, m
     assert result == (2, "", f"error: {message}\n")
 
 
+@pytest.fixture
+def no_digit_limit():
+    """The interpreter's int digit limit switched off, as PYTHONINTMAXSTRDIGITS=0
+    does; Python 3.10 has no limit to switch off."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("entry", ["1e100000000", "1e-100000000", "1e5000"])
+def test_combine_caps_literals_without_a_digit_limit(tmp_path, capsys, no_digit_limit, entry):
+    # with no limit set, the literal cap falls back to CPython's default
+    table = tmp_path / "interior.json"
+    table.write_text(json.dumps({"m": 1, "entries": {"1": entry, "2": "0", "3": "0"}}), encoding="utf-8")
+    start = time.perf_counter()
+    result = run(capsys, "combine", "--d", "5", "--interior", str(table), "--nmax", "3")
+    assert time.perf_counter() - start < 1.0
+    assert result == (2, "", f"error: rational literal of more than 4300 digits, starting {entry!r}\n")
+
+
+@pytest.mark.parametrize(
+    "entries, start",
+    [
+        ({"1": "a" * 100_000}, "not a rational literal: 'aaaa"),
+        ({"1": "\u20ac" * 100_000}, "not a rational literal: '\\u20ac"),
+        ({"1": ["1"] * 100_000}, "not a rational literal: ['1', "),
+        ({"x" * 100_000: "1"}, "bad index in interior table: 'xxxx"),
+    ],
+    ids=["letters", "non-ascii", "array", "index"],
+)
+def test_combine_quotes_a_bounded_prefix_of_a_long_value(tmp_path, capsys, entries, start):
+    table = tmp_path / "interior.json"
+    table.write_text(json.dumps({"m": 1, "entries": entries}), encoding="utf-8")
+    code, out, err = run(capsys, "combine", "--d", "5", "--interior", str(table), "--nmax", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {start}") and err.endswith(" characters)\n") and err.count("\n") == 1
+    assert len(err.encode("utf-8")) < 200
+
+
 @pytest.mark.parametrize("target", ["directory", "missing-parent"])
 def test_unwritable_output_exits_2(tmp_path, capsys, target):
     path = tmp_path if target == "directory" else tmp_path / "missing" / "out.txt"

@@ -20,6 +20,7 @@ from sollink.qfield import (
     _TABLE_MAX,
     _TABLE_PRIMES,
     _WHEEL_MODULI,
+    _norm_rep_sums,
     _residue_table,
     _scan_length,
     _sieve_plan,
@@ -244,6 +245,40 @@ def test_d151_norm_one_is_the_unit_class():
     start = time.perf_counter()
     assert enumerate_norm_classes(f, 1) == [NormClass(rep=f.element(1))]
     assert time.perf_counter() - start < 10
+
+
+def _rep_sums(f, n):
+    reps = [c.rep for c in enumerate_norm_classes(f, n)]
+    return sum(r.a for r in reps), sum(r.b for r in reps)
+
+
+# every squarefree d < 200 whose eps has trace at most 10^6 (104 fields)
+SWEEP_FIELDS = [d for d in range(2, 200) if is_squarefree(d) and field(d).eps.trace() <= 10**6]
+
+
+@pytest.mark.parametrize(
+    "ds, nmax",
+    [pytest.param(SWEEP_FIELDS, 40, id="d<200-40")]
+    + [pytest.param([d], 2000, id=f"{d}-2000") for d in (2, 5, 13)]
+    + [pytest.param([94], 100, id="94-100")],
+)
+def test_norm_rep_sums_match_the_per_norm_scans(ds, nmax):
+    for d in ds:
+        f = field(d)
+        sums = _norm_rep_sums(f, nmax)
+        assert list(sums) == list(range(1, nmax + 1))
+        for n, got in sums.items():
+            assert got == _rep_sums(f, n), (d, n)
+
+
+@pytest.mark.parametrize("d", [d for d in SWEEP_FIELDS if field(d).eps.trace() <= 10**4])
+def test_norm_rep_sums_keep_the_domain_edge(d):
+    # 1 + eps, of norm 2 + Tr(eps), lies on the edge x/x' = eps: the sweep
+    # meets it as 1 + eps' (ratio 1/eps, b < 0) and moves it by eps
+    f = field(d)
+    n = 2 + f.eps.trace()
+    assert NormClass(rep=f.eps + 1) in enumerate_norm_classes(f, n)
+    assert _norm_rep_sums(f, n)[n] == _rep_sums(f, n)
 
 
 @st.composite

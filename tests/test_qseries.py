@@ -309,14 +309,32 @@ def test_combine_interior_names_at_most_ten_missing_indices(field5, nmax, tail):
         combine_interior(sparse, field5, nmax)
 
 
-@pytest.mark.parametrize("d,m", [(5, 17), (5, 19), (13, 17)])
+@pytest.mark.parametrize("d,m", [(5, 17), (5, 19), (13, 17), (2, 7), (3, 13), (7, 9), (94, 9)])
 def test_columns_beyond_nmax_match_link_boundary(d, m):
+    # the rows come from the table sweep, the column from its own norm-class scan
     f = field(d)
     expected = {n: link_boundary(f, n, m) for n in range(1, 6)}
     assert lk_qexpansion(f, m, 5).coeffs == expected
     interior = InteriorTable(m=m, entries={n: Fraction(n, 7) for n in range(1, 6)})
     combined = combine_interior(interior, f, 5).coeffs
     assert combined == {n: Fraction(n, 7) - expected[n] for n in range(1, 6)}
+
+
+def test_tables_read_their_norms_from_one_sweep(monkeypatch, field5):
+    calls = Counter()
+
+    def counting(f, n):
+        calls[n] += 1
+        return sollink.qfield.enumerate_norm_classes(f, n)
+
+    monkeypatch.setattr(sollink.qseries, "enumerate_norm_classes", counting)
+    monkeypatch.setattr(sollink.cycles, "enumerate_norm_classes", counting)
+    link_table(field5, 40)
+    lk_qexpansion(field5, 3, 40)
+    assert calls == {}
+    # a column past nmax keeps its own scan
+    lk_qexpansion(field5, 50, 10)
+    assert calls == {50: 1}
 
 
 def test_eval_params_validation():
