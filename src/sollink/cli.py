@@ -46,49 +46,31 @@ def _parse_ints(text: str, count: int, flag: str) -> tuple:
         raise InputError(f"{flag} needs integers, got {text!r}") from None
 
 
-# A-priori work caps.  Norm n counts the b its norm-class scan visits after the
-# residue wheel (the visits of qfield._sieve_plan: residues times steps per
-# residue) plus _NORM_COST, and never more than its whole b range, so a short
-# scan counts as the plain scan it is.  _NORM_COST stands for what a norm costs
-# whatever it visits: its sieve plan, CRT list and residue table (about 10 us,
-# some 60 visits), and the subcommand's own per-norm work at the default
-# k-range (ratio-test's series coefficient, about 90 us at d=13).  A visit
-# costs about 0.15-0.2 us, so the largest inputs the budget accepts run several
-# seconds (qexp and ratio-test up to nmax 71060 at d=13: 3.6 and 9.3 s on a
-# shared 2-core machine).  _check_orbit_budget charges the orbit-minimum terms
-# beyond that, which never binds at the default k-range.  lk-table, qexp and
-# combine read the norms 1..nmax from one sweep of a fundamental domain
-# (qfield._norm_rep_sums) and scan only a column m > nmax, so for them the
-# budget is a loose upper bound (qexp --d 94 --nmax 300 runs in 0.08 s).  Its
-# values are kept, so every input keeps the exit code the scans gave it.
-# lk-table renders one line per cell.
+# A-priori work caps.  An enumeration is charged its steps in closed form
+# (qfield._enumeration_steps), a range command holds at most _CELLS_MAX
+# entries (lk-table's nmax^2 cells, the others' nmax or n-cut), and
+# _check_orbit_budget charges the orbit-minimum terms of ratio-test and w-eval.
 _SCAN_BUDGET = 3 * 10**7
-_NORM_COST = 256
 _CELLS_MAX = 10**6
 
 
 def _check_scan_budget(field, nmax: int, m: int = 0) -> None:
-    """InputError when the b-scans over the norms 1..nmax and m exceed
-    _SCAN_BUDGET steps; norms below 1 are left to the library's checks."""
-    from .qfield import _scan_length, _sieve_plan
+    """InputError when the norms 1..nmax give more than _CELLS_MAX entries,
+    or enumerating them and m takes more than _SCAN_BUDGET steps; norms below
+    1 are left to the library's checks."""
+    from .qfield import _enumeration_steps
 
-    top = max(nmax, m)
-    norms = itertools.chain(range(1, nmax + 1), [m] if m > max(nmax, 0) else [])
-    steps = 0
-    for n in norms:
-        length = _scan_length(field, n)
-        # at least 1 step per norm, so a loop over many norms stops
-        steps += min(length, _sieve_plan(field.disc, 4 * n, length)[1] + _NORM_COST)
-        if steps > _SCAN_BUDGET:
-            raise InputError(f"norm-class scans up to n = {top} at d = {field.d} need more than {_SCAN_BUDGET} steps")
+    if nmax > _CELLS_MAX:
+        raise InputError(f"norms up to n = {nmax} give more than {_CELLS_MAX} entries")
+    if _enumeration_steps(field, nmax, m) > _SCAN_BUDGET:
+        raise InputError(f"norm-class scans up to n = {max(nmax, m)} at d = {field.d} need more than {_SCAN_BUDGET} steps")
 
 
 def _check_orbit_budget(nmax: int, k_range: int) -> None:
     """InputError when the orbit-minimum sums over the norms 1..nmax, at
     2*k_range + 1 terms each, exceed _SCAN_BUDGET terms: at k-range 10^4 that
-    is past nmax 1499, at the default k-range past any nmax the scans accept
-    (130834 at d=3, 2.1e7 terms).  Values out of range are left to the
-    library's checks."""
+    is past nmax 1499.  Values out of range are left to the library's
+    checks."""
     from .qseries import _K_RANGE_MAX
 
     if nmax > 0 and k_range <= _K_RANGE_MAX and nmax * (2 * k_range + 1) > _SCAN_BUDGET:

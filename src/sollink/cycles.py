@@ -10,9 +10,10 @@ O_K.  Class reps are integers of the field, so the sums here run on their
 int coordinates: multiplication by eps' is the matrix field.gluing, by
 (eps - 1)' is gluing - I, and each returned value is one Fraction over
 field.n_det = N(eps - 1).  Linking numbers come from per-norm sums of the
-class reps (_link_numbers), which a table reads for every norm up to nmax from
-one sweep of a fundamental domain (qfield._norm_rep_sums); the component-pair
-double sum they reduce to is the test oracle tests/oracles.link_boundary.
+class reps (_link_cells).  A range of norms 1..nmax reads its reps from one
+sweep of a fundamental domain (qfield._norm_reps), and only a single norm
+runs enumerate_norm_classes; the component-pair double sum the cells reduce
+to is the test oracle tests/oracles.link_boundary.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, _check_index
-from .qfield import FieldData, NormClass, QuadElem, _norm_rep_sums, enumerate_norm_classes
+from .qfield import FieldData, NormClass, QuadElem, _norm_reps, enumerate_norm_classes
 
 
 @dataclass(frozen=True)
@@ -52,43 +53,46 @@ def boundary_components(field: FieldData, n) -> list[BoundaryComponent]:
     return out
 
 
-def _rep_sum(classes) -> tuple[int, int]:
-    """(sum of a, sum of b) over the reps a + b*w of the given classes."""
-    reps = [cls.rep for cls in classes]
-    return sum(r.a for r in reps), sum(r.b for r in reps)
+def _rep_sum(reps) -> tuple[int, int]:
+    """(sum of a, sum of b) over the rep coordinates (a, b) in reps."""
+    return sum(a for a, _ in reps), sum(b for _, b in reps)
 
 
 def _link_numbers(field: FieldData, nmax: int, ms) -> dict:
     """Lk(C_n, C_m) for n = 1..nmax and m in ms (ascending), keyed (n, m) in
-    that order.
+    that order, from the rep sums of one sweep (qfield._norm_reps), and of its
+    own norm-class scan for a column m > nmax."""
+    sums = {n: _rep_sum(group) for n, group in _norm_reps(field, nmax).items()}
+    for m in ms:
+        if m > nmax:
+            sums[m] = _rep_sum([(cls.rep.a, cls.rep.b) for cls in enumerate_norm_classes(field, m)])
+    return _link_cells(field, sums, range(1, nmax + 1), ms)
+
+
+def _link_cells(field: FieldData, sums: dict, ns, ms) -> dict:
+    """Lk(C_n, C_m) for n in ns and m in ms, keyed (n, m) in that order, from
+    sums, the rep sums S_k = (sum of a, sum of b) of each norm k in ns and ms
+    that has classes; a norm without a key has none, and S_k = 0.
 
     The component-pair double sum of 2 * min'(mu) * min'(nu) * <g Jmu, Jnu>
     (tests/oracles.link_boundary, with g division by eps - 1) is bilinear and
     multiplicity * fiber label is the class rep, so
     Lk(n, m) = 2*<S_n/(eps - 1), S_m> with S_k the sum of the reduced norm-k
-    reps.  S_1..S_nmax come from one sweep (qfield._norm_rep_sums), and a
-    column m > nmax from its own norm-class scan.
+    reps.  With S_n*(eps - 1)' = p + q*w and S_m = a + b*w the cell is
+    2*(q*a - p*b)/N(eps - 1), all integers.
     """
-    sums = _norm_rep_sums(field, nmax)
-    for m in ms:
-        if m > nmax:
-            sums[m] = _rep_sum(enumerate_norm_classes(field, m))
-    return _link_cells(field, sums, range(1, nmax + 1), ms)
-
-
-def _link_cells(field: FieldData, sums: dict, ns, ms) -> dict:
-    """_link_numbers from sums, the rep sums S_k = (sum of a, sum of b) of
-    every norm k in ns and ms.  With S_n*(eps - 1)' = p + q*w and
-    S_m = a + b*w the cell is 2*(q*a - p*b)/N(eps - 1), all integers."""
     (g00, g01), (g10, g11) = field.gluing
-    doubled = [(m, 2 * sums[m][0], 2 * sums[m][1]) for m in ms]
+    doubled = []
+    for m in ms:
+        a, b = sums.get(m, (0, 0))
+        doubled.append((m, 2 * a, 2 * b))
     out = {}
     # every cell has the denominator n_det, so its numerator fixes its value; a
     # norm without classes zeroes a whole row and column, so few values repeat
     # over many cells and each distinct one is built once per call
     values = {}
     for n in ns:
-        x0, x1 = sums[n]
+        x0, x1 = sums.get(n, (0, 0))
         p, q = g00 * x0 + g01 * x1 - x0, g10 * x0 + g11 * x1 - x1  # (gluing - I) S_n
         for m, a2, b2 in doubled:
             num = q * a2 - p * b2

@@ -8,6 +8,7 @@ consulted for sign tests, reduction, or enumeration.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -313,15 +314,9 @@ _TABLE_MAX = 1 << 17
 _SQUARES = {q: frozenset(x * x % q for x in range(q)) for q in {*_WHEEL_MODULI, *_TABLE_PRIMES}}
 
 
-@functools.lru_cache(maxsize=256)
 def _admissible(q: int, disc_q: int, n4_q: int) -> tuple[int, ...]:
     """The x mod q for which disc*x^2 + n4 is a square modulo q, given disc
-    and n4 reduced mod q.  The cache serves the CLI scan budget, which plans
-    the scans of up to 1.3e5 norms of one field before it gives up (at d=5);
-    one field takes at most q values of n4 mod q per modulus, so
-    nearly every call hits, and `qexp --d 13 --nmax 10**18` exits 2 after
-    about 0.2 s instead of 0.9 s.  The enumerations themselves gain nothing
-    measurable from it."""
+    and n4 reduced mod q."""
     squares = _SQUARES[q]
     return tuple(x for x in range(q) if (disc_q * x * x + n4_q) % q in squares)
 
@@ -456,10 +451,11 @@ def enumerate_norm_classes(field: FieldData, n: int) -> list[NormClass]:
     return [NormClass(QuadElem(field, a, b)) for a, b in coords]
 
 
-def _norm_rep_sums(field: FieldData, nmax: int) -> dict[int, tuple[int, int]]:
-    """{n: (sum of a, sum of b)} over the reps a + b*w that
-    enumerate_norm_classes(field, n) returns, for every n in 1..nmax, from one
-    sweep of a fundamental domain instead of one b-scan per norm.
+def _norm_reps(field: FieldData, nmax: int) -> dict[int, list[tuple[int, int]]]:
+    """{n: reps} for every n in 1..nmax that has classes, reps being the
+    coordinates (a, b) of the reps a + b*w that enumerate_norm_classes(field, n)
+    returns, in its order, from one sweep of a fundamental domain instead of
+    one b-scan per norm.
 
     The sweep walks the points x = (t + b*sqrt(disc))/2 of the symmetric
     domain eps^-1 <= x/x' < eps, which, like 1 <= x/x' < eps^2, holds one
@@ -482,30 +478,41 @@ def _norm_rep_sums(field: FieldData, nmax: int) -> dict[int, tuple[int, int]]:
       x*x' = n > 0.
     - A point with b >= 0 has 1 <= x/x' < eps and is its class's rep as it
       is.  One with b < 0 has eps^-1 <= x/x' < 1, and its rep is x*eps, whose
-      ratio is eps^2 times as large.  The sums are linear, so the points of
-      the rows b < 0 are summed apart and moved by one factor eps per norm.
+      ratio is eps^2 times as large.
     """
     disc, s0 = field.disc, field.s0
     big_t, big_u = field.eps.trace(), field.eps.b
-    size = nmax + 1
-    # (t sums, b sums) by norm, for the rows b >= 0 and the rows b < 0
-    upper, lower = ([0] * size, [0] * size), ([0] * size, [0] * size)
+    reps = collections.defaultdict(list)
     rows = math.isqrt(nmax * (big_t - 2) // disc)
     for b in range(-rows, rows + 1):
-        t_sums, b_sums = lower if b < 0 else upper
         db2 = disc * b * b
         reach = abs(b) * disc * big_u
         t_lo = -(-reach // (big_t - 2)) if b < 0 else reach // (big_t - 2) + 1
         t_lo += (t_lo - s0 * b) % 2
         for t in range(t_lo, math.isqrt(4 * nmax + db2) + 1, 2):
-            n = (t * t - db2) >> 2
-            t_sums[n] += t
-            b_sums[n] += b
-    sums = {}
-    for n in range(1, size):
-        # x*eps = ((T*t + U*disc*b) + (U*t + T*b)*sqrt(disc))/4
-        lt, lb = lower[0][n], lower[1][n]
-        t = upper[0][n] + (big_t * lt + big_u * disc * lb) // 2
-        b = upper[1][n] + (big_u * lt + big_t * lb) // 2
-        sums[n] = ((t - s0 * b) // 2, b)
-    return sums
+            x_t, x_b = t, b
+            if b < 0:
+                # x*eps = ((T*t + U*disc*b) + (U*t + T*b)*sqrt(disc))/4
+                x_t, x_b = (big_t * t + big_u * disc * b) // 2, (big_u * t + big_t * b) // 2
+            reps[(t * t - db2) >> 2].append(((x_t - s0 * x_b) // 2, x_b))
+    for group in reps.values():
+        group.sort()
+    return dict(reps)
+
+
+def _enumeration_steps(field: FieldData, nmax: int, m: int = 0) -> int:
+    """Steps, in b of a sieved scan (about 0.19 us each), to enumerate the
+    norms 1..nmax and one norm m > nmax, in closed form: 8 for each of the
+    sweep's 2*rows + 1 rows (_norm_reps), as a row with its isqrt and big-int
+    edge takes 1.1-1.4 us, and one for each of its points, about
+    nmax*ln(eps)/sqrt(disc) (the domain's area over the lattice covolume,
+    bounded here with Tr(eps) > eps); then the b that m's residue wheel
+    visits, never more than its b range."""
+    steps = 0
+    if nmax > 0:
+        rows = math.isqrt(nmax * (field.eps.trace() - 2) // field.disc)
+        steps = 8 * (2 * rows + 1) + math.ceil(nmax * math.log(field.eps.trace()) / math.sqrt(field.disc))
+    if m > max(nmax, 0):
+        length = _scan_length(field, m)
+        steps += min(length, _sieve_plan(field.disc, 4 * m, length)[1])
+    return steps

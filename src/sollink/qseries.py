@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, _check_index, _is_int
-from .qfield import FieldData, enumerate_norm_classes
-from .cycles import _link_cells, _link_numbers, _rep_sum, boundary_components
+from .qfield import FieldData, QuadElem, _norm_reps, enumerate_norm_classes
+from .cycles import _link_cells, _link_numbers, _rep_sum
 from .special_fn import beta_scaled
 
 
@@ -125,18 +125,19 @@ def min_series_coeff(field: FieldData, n: int, k_range: int) -> float:
     """
     _check_index("norm", n)
     _check_index("k_range", k_range, _K_RANGE_MAX)
-    return _orbit_min_sum(field, enumerate_norm_classes(field, n), k_range)
+    return _orbit_min_sum(field, [(cls.rep.a, cls.rep.b) for cls in enumerate_norm_classes(field, n)], k_range)
 
 
-def _orbit_min_sum(field: FieldData, classes, k_range: int) -> float:
-    """min_series_coeff over the given norm classes."""
+def _orbit_min_sum(field: FieldData, reps, k_range: int) -> float:
+    """min_series_coeff over the classes with the rep coordinates (a, b) in reps."""
     log_eps = math.log(field.eps.embed())
     total = 0.0
-    for cls in classes:
-        mu = cls.rep.embed()
+    for a, b in reps:
+        rep = QuadElem(field, a, b)
+        mu = rep.embed()
         log_mu = math.log(mu)
         # mu' = N(mu)/mu: a + b*w' cancels to 0.0 when eps is large
-        log_mu_c = math.log(cls.rep.norm() / mu)
+        log_mu_c = math.log(rep.norm() / mu)
         # min in log space; the min side never overflows
         terms = [math.exp(min(log_mu + k * log_eps, log_mu_c - k * log_eps)) for k in range(-k_range, k_range + 1)]
         for _sign in (1, -1):
@@ -170,12 +171,12 @@ def holomorphic_ratio_test(field: FieldData, nmax: int, k_range: int) -> RatioRe
     ratios = {}
     omitted, inconsistent = [], []
     ns = range(1, nmax + 1)
-    # one enumeration per norm, shared by the Lk column and the orbit-minimum sum
-    comps = {n: boundary_components(field, n) for n in ns}
-    column = _link_cells(field, {n: _rep_sum(c.cls for c in cs) for n, cs in comps.items()}, ns, (1,))
+    # one sweep, shared by the Lk column and the orbit-minimum sums
+    reps = _norm_reps(field, nmax)
+    column = _link_cells(field, {n: _rep_sum(group) for n, group in reps.items()}, ns, (1,))
     for n in ns:
         lk = column[n, 1]
-        mn = _orbit_min_sum(field, [c.cls for c in comps[n]], k_range)
+        mn = _orbit_min_sum(field, reps.get(n, ()), k_range)
         if lk == 0:
             (omitted if abs(mn) <= 1e-9 else inconsistent).append(n)
             continue
@@ -252,9 +253,11 @@ class WEvalParams:
 
 @functools.lru_cache(maxsize=_HOLO_CACHE_SIZE)
 def _holomorphic_coeffs(field: FieldData, k_range: int, n_cut: int) -> tuple:
-    """min_series_coeff(field, n, k_range) for n = 1..n_cut.  They do not
-    depend on tau, so eval_W at many tau on one field computes them once."""
-    return tuple(min_series_coeff(field, n, k_range) for n in range(1, n_cut + 1))
+    """min_series_coeff(field, n, k_range) for n = 1..n_cut, from one sweep
+    (qfield._norm_reps).  They do not depend on tau, so eval_W at many tau on
+    one field computes them once."""
+    reps = _norm_reps(field, n_cut)
+    return tuple(_orbit_min_sum(field, reps.get(n, ()), k_range) for n in range(1, n_cut + 1))
 
 
 @dataclass(frozen=True)

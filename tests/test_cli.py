@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sollink import cli
+from sollink.cycles import link_table
 from sollink.errors import ConsistencyError, InputError
 from sollink.qfield import _scan_length, make_field
 from sollink.qseries import lk_qexpansion
@@ -450,21 +451,21 @@ def test_w_eval_rejects_oversized_truncation(capsys, flag, value, message):
     assert (code, out) == (2, "") and err == f"error: {message}, got {value}\n"
 
 
-# The budget counts the b the residue wheel visits plus a per-norm charge:
-# 1.3e26 at d=991, n=1 (a b range of 1.2e28), 1.4e8 for lk-table d=151 up to
-# nmax 20, 3.8e8 up to n = 40, 4.5e13 for m = 10^30 at d=5; qexp up to
-# nmax 10^18 stops after 1.3e5 norms at d=5 and 7.1e4 at d=13.  The
-# orbit-minimum sums of ratio-test and w-eval at k-range 10^4 and 2*10^4
-# norms take 4e8 terms (about 80 s each before they were charged).
+# The budget charges the sweep behind a range of norms its rows and points and
+# a lone norm the b its residue wheel visits: 1.3e26 at d=991, n=1 (a b range
+# of 1.2e28), 9.9e14 for lk-table d=991 up to nmax 20, 1.4e15 up to n = 40,
+# 4.5e13 for m = 10^30 at d=5.  Every range command holds at most 10^6
+# entries.  The orbit-minimum sums of ratio-test and w-eval at k-range 10^4
+# and 2*10^4 norms take 4e8 terms (about 80 s each before they were charged).
 OVER_BUDGET = {
     ("boundary", "--d", "991", "--n", "1"): "need more than 30000000 steps",
     ("lk-table", "--d", "94", "--nmax", "2000"): "gives 4000000 cells, more than 1000000",
-    ("lk-table", "--d", "151", "--nmax", "20"): "need more than 30000000 steps",
-    ("qexp", "--d", "5", "--nmax", str(10**18)): "need more than 30000000 steps",
-    ("qexp", "--d", "13", "--nmax", str(10**18)): "need more than 30000000 steps",
+    ("lk-table", "--d", "991", "--nmax", "20"): "need more than 30000000 steps",
+    ("qexp", "--d", "5", "--nmax", str(10**18)): f"norms up to n = {10**18} give more than 1000000 entries",
+    ("qexp", "--d", "13", "--nmax", str(10**18)): f"norms up to n = {10**18} give more than 1000000 entries",
     ("qexp", "--d", "5", "--nmax", "3", "--m", str(10**30)): "need more than 30000000 steps",
-    ("ratio-test", "--d", "151", "--nmax", "40"): "need more than 30000000 steps",
-    ("w-eval", "--d", "151", "--tau", "0+1i", "--n-cut", "40"): "need more than 30000000 steps",
+    ("ratio-test", "--d", "991", "--nmax", "40"): "need more than 30000000 steps",
+    ("w-eval", "--d", "991", "--tau", "0+1i", "--n-cut", "40"): "need more than 30000000 steps",
     ("ratio-test", "--d", "5", "--nmax", "20000", "--k-range", "10000"): "need more than 30000000 terms",
     ("w-eval", "--d", "5", "--tau", "0.1+1i", "--k-range", "10000", "--n-cut", "20000"): "need more than 30000000 terms",
 }
@@ -494,15 +495,6 @@ def test_budget_charges_the_visited_b_not_the_b_range(capsys):
     assert [c["rep"] for c in json.loads(out)["components"]] == ["1"]
 
 
-def test_budget_charges_each_norm_a_fixed_cost():
-    # the visits alone would let ratio-test at d=13 run up to nmax 111510,
-    # about twice the per-norm work the plain b-range count let through
-    field = make_field(13)
-    cli._check_scan_budget(field, 71060)
-    with pytest.raises(InputError, match="up to n = 71061 at d = 13"):
-        cli._check_scan_budget(field, 71061)
-
-
 @pytest.mark.parametrize("d", [5, 13, 94])
 def test_budget_accepts_what_the_b_range_count_accepts(d):
     # a norm is never charged more than its b range, so an input within
@@ -515,16 +507,35 @@ def test_budget_accepts_what_the_b_range_count_accepts(d):
     cli._check_scan_budget(field, nmax)
 
 
-@pytest.mark.parametrize("d, nmax", [(3, 130834), (5, 129423), (13, 71060)])
-def test_default_k_range_never_binds(d, nmax):
-    # nmax is the largest the scans accept at d; its orbit terms at either
-    # subcommand's default k-range stay within the cap
+@pytest.mark.parametrize("d", [3, 5, 13])
+def test_default_k_range_binds_first(d):
+    # at its default k-range each subcommand's orbit budget binds before the
+    # scan budget and the entries cap: ratio-test (k 80) past nmax 186335,
+    # w-eval (k 60) past n-cut 247933
     field = make_field(d)
-    cli._check_scan_budget(field, nmax)
-    with pytest.raises(InputError, match="need more than 30000000 steps"):
-        cli._check_scan_budget(field, nmax + 1)
-    for argv in (["ratio-test", "--nmax", "1"], ["w-eval", "--tau", "1i"]):
-        cli._check_orbit_budget(nmax, cli._build_parser().parse_args([*argv, "--d", str(d)]).k_range)
+    for argv, top in ((["ratio-test", "--nmax", "1"], 186335), (["w-eval", "--tau", "1i"], 247933)):
+        k_range = cli._build_parser().parse_args([*argv, "--d", str(d)]).k_range
+        cli._check_scan_budget(field, top + 1)
+        cli._check_orbit_budget(top, k_range)
+        with pytest.raises(InputError, match="need more than 30000000 terms"):
+            cli._check_orbit_budget(top + 1, k_range)
+
+
+def test_range_commands_hold_at_most_a_million_entries():
+    field = make_field(5)
+    cli._check_scan_budget(field, 10**6)
+    with pytest.raises(InputError, match="norms up to n = 1000001 give more than 1000000 entries"):
+        cli._check_scan_budget(field, 10**6 + 1)
+
+
+def test_lk_table_at_a_large_unit_runs(capsys):
+    # d = 151: eps has trace 3.5e9, and the sweep up to nmax 20 has 2e4 rows
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lk-table", "--d", "151", "--nmax", "20", "--format", "csv")
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    cells = [f"{n},{m},{v}" for (n, m), v in link_table(make_field(151), 20).entries.items()]
+    assert out == "\n".join(["n,m,value", *cells]) + "\n"
 
 
 def test_orbit_budget_at_the_largest_k_range(capsys):

@@ -190,10 +190,9 @@ def test_ratio_report_d5(field5):
 
 @pytest.mark.parametrize("d", [46, 94, 151, 389])
 def test_min_series_is_accurate_at_large_units(d):
-    # each ratio is min_series_coeff(n, 60) / Lk(n, 1), from one enumeration
-    # per norm.  A conjugate embedded as a + b*w' cancels when eps is large
-    # (to 0.0 for eps itself at d = 151) and cost up to 5e-8 here; d = 151
-    # scans its norms in about 10 s.
+    # each ratio is min_series_coeff(n, 60) / Lk(n, 1), from one sweep of the
+    # norms.  A conjugate embedded as a + b*w' cancels when eps is large (to
+    # 0.0 for eps itself at d = 151) and cost up to 5e-8 here.
     report = holomorphic_ratio_test(field(d), 12, 60)
     assert report.ratios and report.inconsistent == ()
     for n, ratio in report.ratios.items():
@@ -201,6 +200,8 @@ def test_min_series_is_accurate_at_large_units(d):
 
 
 def test_ratio_test_enumerates_each_norm_once(monkeypatch, field13):
+    # the ratio test and a cold-cache eval_W read every norm from one sweep
+    # and run no per-norm scan, yet give the per-norm route's floats
     calls = Counter()
 
     def counting(f, n):
@@ -209,8 +210,16 @@ def test_ratio_test_enumerates_each_norm_once(monkeypatch, field13):
 
     monkeypatch.setattr(sollink.qseries, "enumerate_norm_classes", counting)
     monkeypatch.setattr(sollink.cycles, "enumerate_norm_classes", counting)
-    holomorphic_ratio_test(field13, 12, 40)
-    assert calls == {n: 1 for n in range(1, 13)}
+    sollink.qseries._holomorphic_coeffs.cache_clear()
+    report = holomorphic_ratio_test(field13, 12, 40)
+    eval_W(field13, WEvalParams(tau=0.3 + 1j, k_range=40, n_cut=12))
+    assert calls == {}
+    monkeypatch.undo()
+    coeffs = [min_series_coeff(field13, n, 40) for n in range(1, 13)]
+    assert sollink.qseries._holomorphic_coeffs(field13, 40, 12) == tuple(coeffs)
+    lks = [link_boundary_closed(field13, n) for n in range(1, 13)]
+    assert report.ratios == {n: c / float(lk) for n, c, lk in zip(range(1, 13), coeffs, lks) if lk}
+    assert report.omitted == tuple(n for n, lk in zip(range(1, 13), lks) if not lk)
 
 
 def test_ratio_constant_shared_between_fields(field5, field13):
