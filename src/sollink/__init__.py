@@ -1,7 +1,7 @@
 """Exact linking numbers in Sol torus bundles and on cycle boundaries over
-real quadratic fields, with the numeric completion kernels that pair with
-them.  All linking data is exact rational; floats appear only in the
-analytic layer (profiles, beta kernel, series evaluation).
+real quadratic fields, with a float evaluator of the completed series that
+pairs with them.  All linking data is exact rational; floats appear only in
+the analytic layer (beta kernel, orbit-minimum series, series evaluation).
 
 The public names are loaded lazily: `sollink.make_field` imports
 `sollink.qfield` on first use, so importing the package (or the CLI) does not
@@ -36,17 +36,8 @@ _SUBMODULE = {
     "boundary_components": "cycles",
     "link_boundary_closed": "cycles",
     "link_table": "cycles",
-    "A_profile": "special_fn",
-    "Ap_profile": "special_fn",
-    "B_profile": "special_fn",
-    "Bp_profile": "special_fn",
-    "WPoint": "special_fn",
     "beta_fn": "special_fn",
     "beta_scaled": "special_fn",
-    "gamma_half": "special_fn",
-    "orbit_action": "special_fn",
-    "phi_profile": "special_fn",
-    "quad_form": "special_fn",
     "InteriorTable": "qseries",
     "QExpansion": "qseries",
     "RatioReport": "qseries",

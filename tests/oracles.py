@@ -12,6 +12,10 @@ solutions from an unreduced box search.  Caps come with Fraction vertices and
 shoelace areas, and their crossing count from the lattice points of a
 half-open parallelogram.  Hurwitz class numbers count reduced binary quadratic
 forms, for the Hirzebruch-Zagier identity and series.
+
+The theta kernel pair (A, B) and its singular counterpart (A', B') live here
+as closed-form profiles on the signature (1,1) plane, for the tests of their
+defining identities; no library route reads them.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from sollink import sol
 from sollink.cycles import boundary_components, link_boundary_closed
@@ -365,3 +370,82 @@ def hz_series(field: FieldData, nmax: int) -> dict:
                 h_d += hurwitz[N]
         out[n] = h_d + link_boundary_closed(field, n) / 2
     return out
+
+
+# Kernel profiles on the signature (1,1) plane.  Points carry coordinates
+# (x2, x3) with quadratic form (x, x) = x2^2 - x3^2.  Away from x3 = 0 and the
+# light cone the pair satisfies
+#
+#     A  = -X23 B,   A' = -X23 B',   (X23 F)(p) = d/ds F(orbit_action(-s, p)) at s = 0,
+#     (-1/4pi)(d22 - d33) F + pi (x,x) F = 2 F   for F in {B, B'},
+#
+# and the jump of A across x3 = 0 cancels against the jump of A', so A + A'
+# and B + B' extend continuously.  On x3 = 0, where A and A' jump, each
+# returns 0.0, the mean of its two one-sided limits.
+
+_SQRT_PI = math.sqrt(math.pi)
+
+
+class WPoint(NamedTuple):
+    x2: float
+    x3: float
+
+
+def gamma_half(a: float) -> float:
+    """Incomplete gamma of index 1/2: integral of e^-u u^-1/2 from a to infinity,
+    equal to sqrt(pi) * erfc(sqrt(a))."""
+    if a < 0:
+        raise InputError(f"argument must be >= 0, got {a}")
+    return _SQRT_PI * math.erfc(math.sqrt(a))
+
+
+def quad_form(p: WPoint) -> float:
+    return p.x2 * p.x2 - p.x3 * p.x3
+
+
+def orbit_action(s: float, p: WPoint) -> WPoint:
+    """Hyperbolic rotation by s: preserves (x, x)."""
+    ch, sh = math.cosh(s), math.sinh(s)
+    return WPoint(p.x2 * ch + p.x3 * sh, p.x2 * sh + p.x3 * ch)
+
+
+def A_profile(p: WPoint) -> float:
+    """Odd kernel component; tends to +-(1/2) x2 e^{-pi x2^2} as x3 -> 0+-
+    and is 0.0, the mean of those limits, on x3 = 0."""
+    x2, x3 = p.x2, p.x3
+    if x3 == 0:
+        return 0.0
+    sgn = math.copysign(1.0, x3)
+    return 0.5 / _SQRT_PI * x2 * sgn * gamma_half(2 * math.pi * x3 * x3) * math.exp(-math.pi * (x2 * x2 - x3 * x3))
+
+
+def B_profile(p: WPoint) -> float:
+    """Even kernel component; continuous, not C^1 across x3 = 0."""
+    x2, x3 = p.x2, p.x3
+    term1 = -math.exp(-math.pi * (x2 * x2 + x3 * x3)) / (2 * math.sqrt(2) * math.pi)
+    term2 = 0.5 / _SQRT_PI * abs(x3) * gamma_half(2 * math.pi * x3 * x3) * math.exp(-math.pi * (x2 * x2 - x3 * x3))
+    return term1 + term2
+
+
+def Bp_profile(p: WPoint) -> float:
+    """Singular even counterpart: (1/2) min(|x2-x3|, |x2+x3|) e^{-pi (x,x)}
+    inside the positive cone x2^2 > x3^2, zero outside and on the cone."""
+    q = quad_form(p)
+    if q <= 0:
+        return 0.0
+    return 0.5 * min(abs(p.x2 - p.x3), abs(p.x2 + p.x3)) * math.exp(-math.pi * q)
+
+
+def Ap_profile(p: WPoint) -> float:
+    """Singular odd counterpart -sgn(x2 x3) * Bp; inside the cone it tends to
+    -+(1/2) x2 e^{-pi x2^2} as x3 -> 0+-, opposite to A, and is 0.0 on x3 = 0."""
+    if p.x3 == 0:
+        return 0.0
+    sgn = math.copysign(1.0, p.x2 * p.x3) if p.x2 != 0 else 0.0
+    return -sgn * Bp_profile(p)
+
+
+def phi_profile(p: WPoint) -> tuple[float, float]:
+    """Combined profiles (A + A', B + B'); the jumps of A and A' across x3 = 0
+    cancel, so both extend continuously."""
+    return A_profile(p) + Ap_profile(p), B_profile(p) + Bp_profile(p)

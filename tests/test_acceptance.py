@@ -11,12 +11,7 @@ from fractions import Fraction
 import pytest
 
 from sollink import (
-    A_profile,
-    Ap_profile,
-    B_profile,
-    Bp_profile,
     WEvalParams,
-    WPoint,
     beta_fn,
     boundary_components,
     build_cap,
@@ -31,15 +26,25 @@ from sollink import (
     link_fiber,
     link_table,
     make_field,
-    orbit_action,
-    phi_profile,
-    quad_form,
     reduce_totally_positive,
 )
 from sollink.qfield import is_squarefree
 from sollink.selftest import _random_class, _random_hyperbolic
 from conftest import field
-from oracles import brute_force_norm_solutions, link_boundary, pell_units, reduce_totally_positive_ints
+from oracles import (
+    A_profile,
+    Ap_profile,
+    B_profile,
+    Bp_profile,
+    WPoint,
+    brute_force_norm_solutions,
+    link_boundary,
+    orbit_action,
+    pell_units,
+    phi_profile,
+    quad_form,
+    reduce_totally_positive_ints,
+)
 from test_special_fn import beta_quad
 
 

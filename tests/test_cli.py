@@ -330,14 +330,9 @@ GOLDEN_STDOUT = {
         "ok   sol-conjugation: 60 conjugations agree exactly\n"
         "ok   sol-asymmetry: 60 asymmetry probes agree exactly\n"
         "ok   caps: 50 random caps close exactly\n"
-        "ok   flow-derivative: max rel err 5.08e-07 over 50 points\n"
-        "ok   pde: max rel err 1.42e-05 over 50 points\n"
-        "ok   jump-cancellation: 40 crossings continuous\n"
-        "ok   cone-continuity: 40 cone approaches continuous\n"
         "ok   beta: value at 0, monotone decay, branch agreement\n"
-        "ok   orbit-invariance: 40 orbit moves preserve the form\n"
         "ok   ratio-quick: spread 3.33e-16 over 4 ratios\n"
-        "12/12 suites passed (seed 0)\n"
+        "7/7 suites passed (seed 0)\n"
     ),
 }
 
@@ -768,7 +763,7 @@ def test_output_file_matches_stdout(tmp_path, capsys):
 def test_self_test_passes(capsys):
     code, out, _ = run(capsys, "self-test", "--seed", "0")
     assert code == 0
-    assert "12/12 suites passed (seed 0)" in out
+    assert "7/7 suites passed (seed 0)" in out
     assert "FAIL" not in out
 
 
@@ -783,7 +778,7 @@ def test_self_test_json(capsys, monkeypatch):
     payload = json.loads(out)
     assert (code, err) == (0, "")
     assert list(payload) == ["seed", "suites", "passed", "total"]
-    assert payload["seed"] == 0 and payload["passed"] == payload["total"] == 12
+    assert payload["seed"] == 0 and payload["passed"] == payload["total"] == 7
     assert all(list(suite) == ["name", "ok", "detail"] and suite["ok"] is True for suite in payload["suites"])
     verdicts = [("stub", False, "boom"), ("other", True, "fine")]
     monkeypatch.setattr("sollink.selftest.run_suites", lambda seed: verdicts)

@@ -6,15 +6,13 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from sollink import (
+from sollink import InputError, beta_fn, beta_scaled
+from oracles import (
     A_profile,
     Ap_profile,
     B_profile,
     Bp_profile,
-    InputError,
     WPoint,
-    beta_fn,
-    beta_scaled,
     gamma_half,
     orbit_action,
     phi_profile,
@@ -78,13 +76,17 @@ def test_beta_known_values():
 
 
 def test_beta_scaled_branches():
-    for s in [0.0, 1.0, 10.0, 29.9, 30.0]:
+    for s in [0.0, 1.0, 10.0, 29.9, 30.0, 79.9, 80.0]:
         assert beta_scaled(s) == pytest.approx(beta_fn(s) * math.exp(s), rel=1e-13)
     # across the series switchover the two branches must agree
     assert beta_scaled(30.0 + 1e-9) == pytest.approx(beta_scaled(30.0), rel=1e-7)
-    # the asymptotic branch against direct quadrature of e^{s}-scaled integrand
-    for s in [31.0, 40.0, 100.0]:
-        assert beta_scaled(s) == pytest.approx(beta_scaled_quad(s), rel=1e-8)
+    assert beta_scaled(80.0 + 1e-9) == pytest.approx(beta_scaled(80.0), rel=1e-11)
+    # both branches against direct quadrature of the e^{s}-scaled integrand,
+    # through s = 30, where an 11-term series is still off by 6e-9, and the
+    # switch at 80
+    for s in [25.0, 29.9, 30.0, 30.0001, 31.0, 35.0, 40.0, 50.0, 65.0, 78.65, 79.9, 80.0, 80.0001,
+              81.0, 90.0, 100.0, 150.0, 250.0, 400.0, 700.0, 1000.0]:
+        assert beta_scaled(s) == pytest.approx(beta_scaled_quad(s), rel=1e-11)
     assert beta_scaled(100.0) == pytest.approx(1 / (16 * math.pi * 100), rel=0.02)
     with pytest.raises(InputError):
         beta_scaled(-2.0)
@@ -107,6 +109,9 @@ def test_quad_form_and_orbit():
     assert quad_form(q) == pytest.approx(quad_form(p), abs=1e-12)
     r = orbit_action(-0.4, q)
     assert (r.x2, r.x3) == (pytest.approx(p.x2, abs=1e-12), pytest.approx(p.x3, abs=1e-12))
+    for p in FD_POINTS:
+        for s in (-2.0, -0.7, 0.4, 1.3, 2.0):
+            assert quad_form(orbit_action(s, p)) == pytest.approx(quad_form(p), abs=1e-10)
 
 
 def test_a_profile_values_and_jump():
@@ -131,6 +136,12 @@ def test_b_profile_values():
 def test_bp_profile_cone_support():
     assert Bp_profile(WPoint(1.0, 2.0)) == 0.0
     assert Bp_profile(WPoint(1.0, 1.0)) == 0.0
+    # B' vanishes continuously at the light cone, from either side
+    delta = 1e-6
+    for x2 in [0.3, 0.75, 1.5, -0.45, -1.2]:
+        for s3 in (1, -1):
+            assert abs(Bp_profile(WPoint(x2, s3 * (abs(x2) - delta)))) <= 1e-6
+            assert Bp_profile(WPoint(x2, s3 * (abs(x2) + delta))) == 0.0
     p = WPoint(1.0, 0.5)
     assert Bp_profile(p) == pytest.approx(0.5 * 0.5 * math.exp(-math.pi * 0.75), abs=1e-15)
     assert Bp_profile(WPoint(-1.0, 0.5)) == Bp_profile(p)
@@ -163,12 +174,14 @@ def test_jump_cancellation_exact():
 
 def test_phi_profile_continuity():
     delta = 1e-9
-    for x2 in [0.5, 1.3, -2.0]:
-        above, _ = phi_profile(WPoint(x2, delta))
-        below, _ = phi_profile(WPoint(x2, -delta))
-        at, _ = phi_profile(WPoint(x2, 0.0))
+    for x2 in [0.5, 1.3, -2.0, 0.2, -0.85]:
+        above, above_b = phi_profile(WPoint(x2, delta))
+        below, below_b = phi_profile(WPoint(x2, -delta))
+        at, at_b = phi_profile(WPoint(x2, 0.0))
         assert abs(above - at) < 1e-8
         assert abs(below - at) < 1e-8
+        assert abs(above_b - at_b) <= 1e-10
+        assert abs(below_b - at_b) <= 1e-10
 
 
 FD_POINTS = [
@@ -178,7 +191,15 @@ FD_POINTS = [
     WPoint(0.4, 1.3),
     WPoint(2.0, 0.25),
     WPoint(-0.7, -1.6),
+    # just past CONE_MARGIN from the light cone, inside and outside it
+    WPoint(1.2, 1.04),
+    WPoint(-0.9, -0.74),
+    WPoint(-0.34, 0.5),
+    WPoint(0.2, -0.36),
 ]
+
+# how close to the light cone, where B' is not smooth, its identities are checked
+CONE_MARGIN = 0.15
 
 
 def _x23(profile, p: WPoint, h: float = 1e-4) -> float:
@@ -190,16 +211,16 @@ def test_flow_derivative_gives_a():
     for p in FD_POINTS:
         lhs = -_x23(B_profile, p)
         rhs = A_profile(p)
-        assert lhs == pytest.approx(rhs, rel=1e-5, abs=1e-9)
+        assert lhs == pytest.approx(rhs, rel=1e-5, abs=1e-14)
 
 
 def test_flow_derivative_gives_ap():
     for p in FD_POINTS:
-        if abs(abs(p.x2) - abs(p.x3)) < 0.2:
+        if abs(abs(p.x2) - abs(p.x3)) < CONE_MARGIN:
             continue  # B' is not smooth on the cone
         lhs = -_x23(Bp_profile, p)
         rhs = Ap_profile(p)
-        assert lhs == pytest.approx(rhs, rel=1e-5, abs=1e-9)
+        assert lhs == pytest.approx(rhs, rel=1e-5, abs=1e-14)
 
 
 def _pde_residual(profile, p: WPoint, h: float = 1e-3) -> tuple[float, float]:
@@ -213,10 +234,10 @@ def _pde_residual(profile, p: WPoint, h: float = 1e-3) -> tuple[float, float]:
 def test_pde_eigenfunctions():
     for p in FD_POINTS:
         for profile in (B_profile, Bp_profile):
-            if profile is Bp_profile and abs(abs(p.x2) - abs(p.x3)) < 0.2:
+            if profile is Bp_profile and abs(abs(p.x2) - abs(p.x3)) < CONE_MARGIN:
                 continue
             lhs, rhs = _pde_residual(profile, p)
-            assert lhs == pytest.approx(rhs, rel=1e-3, abs=1e-6)
+            assert lhs == pytest.approx(rhs, rel=1e-3, abs=1e-9)
 
 
 def test_profiles_decay():
