@@ -467,12 +467,16 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1
-    if not args.output:
-        sys.stdout.write(text)
-        return code
     try:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        elif sys.stdout is None:  # started with stdout closed
+            raise OSError("stdout is closed")
+        else:
+            # a flush here reports a full or broken stdout, not one at exit
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2

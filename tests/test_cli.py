@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -23,6 +25,14 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
 
 
 def test_field_info_text(capsys):
@@ -342,18 +352,223 @@ def test_golden_stdout(capsys, argv):
     assert run(capsys, *argv.split()) == (0, GOLDEN_STDOUT[argv], "")
 
 
-# sha256 of stdout: every byte of two tables large enough that most cells share a value
-LK_TABLE_SHA256 = {
-    "lk-table --d 5 --nmax 100 --format csv": "6d27a5afc942f04bf400d2449e6611af424fe14244308035830f11207572939e",
-    "lk-table --d 17 --nmax 60 --format csv": "7318bba2b5b4c22e7d62111d8f83dea6e8bc8f5a46cdfc326e22d8e65877c732",
+# The CLI's bytes pinned by sha256, group by group.  A group runs its calls
+# in-process in order, with "$t" standing for the directory of the
+# PIN_INTERIOR files.  A "stdout" group hashes the joined stdout of its calls,
+# each of which must exit 0 with an empty stderr; a "stderr" group hashes each
+# call's stderr followed by "exit N\n".  Every group must end within
+# PIN_BOUND_S.  A change that moves bytes recaptures the hash here and lists
+# it in CHANGES.md.
+PIN_BOUND_S = 60.0
+PIN_INTERIOR = {
+    "interior.json": '{"m": 2, "entries": {"1": "1/3", "2": "-2", "3": "0", "4": "5/7", "5": "1", "6": "-1/2"}}\n',
+    "interior_m0.json": '{"m": 0, "entries": {"1": "1"}}\n',
+    "interior_mtrue.json": '{"m": true, "entries": {"1": "1"}}\n',
+    "interior_mstr.json": '{"m": "2", "entries": {"1": "1"}}\n',
+}
+BYTE_PINS = {
+    # seeds 0-4: the seeds vary only the Sol gluings, classes and caps drawn;
+    # every suite's draws, verdict and detail stay byte-identical (a failing
+    # suite prints a FAIL line and exits 1, and either fails the group)
+    "Self-test": (
+        "stdout",
+        [f"self-test --seed {seed}" for seed in range(5)],
+        "171ea94719781a3a0759e2a49388ab155a6372341fce737b3747507c574c8613",
+    ),
+    # lk-table at the largest nmax the CLI accepts (10^6 cells)
+    "Largest link table": (
+        "stdout",
+        ["lk-table --d 5 --nmax 1000 --format csv"],
+        "21fe38234ff4cac06fb1186ec4ad50b8552ec42b13760b0d5f96d1d9bb9c1077",
+    ),
+    # field-info and boundary json over both bases (s0 = 0, 1), units of
+    # either norm and a large unit (d = 94), so the rendering of units, reps
+    # and fibers stays byte-identical
+    "Field and boundary rendering": (
+        "stdout",
+        [
+            argv
+            for d in (2, 3, 5, 13, 17, 94)
+            for argv in [f"field-info --d {d} --format json"]
+            + [f"boundary --d {d} --n {n} --format json" for n in (1, 3, 4, 11, 12)]
+        ],
+        "b07798487d5cde22bfe3cada0d3834975900be24abcfa0fd806e2e0d45eff7a6",
+    ),
+    # boundary at d = 151 and d = 389, n = 1 (b ranges of 1.4e8 and 1e6):
+    # the budget charges the b the residue wheel visits, so both run (the
+    # single class rep 1 each)
+    "Large-field boundary": (
+        "stdout",
+        ["boundary --d 151 --n 1 --format json", "boundary --d 389 --n 1"],
+        "b34df4f013586c78d4861a6b3c11d2d9f8b145fa0b2d0540fec10cd8348bc79d",
+    ),
+    # range commands at large units, which the closed-form budget admits
+    # since one sweep serves every norm: lk-table at d = 151 (eps about
+    # 3.5e9), qexp at d = 94 up to nmax 2000 and w-eval at d = 151
+    "Large-unit ranges": (
+        "stdout",
+        [
+            "lk-table --d 151 --nmax 20 --format csv",
+            "qexp --d 94 --nmax 2000",
+            "w-eval --d 151 --tau 0.3+1i --n-cut 40",
+        ],
+        "de99496c8f95979eb3b2073a0bcffdd834ad3de5d39305289dcbecec1c5b235b",
+    ),
+    # sol-link text and sol-cap json over ten gluings of either trace sign
+    # and three classes, the zero class among them, so linking numbers and
+    # cap records stay byte-identical
+    "Sol rendering": (
+        "stdout",
+        [
+            argv
+            for f in ("2,1,1,1", "3,1,2,1", "-2,1,1,-1", "-3,-1,-2,-1", "5,2,2,1", "1,1,1,2", "0,1,-1,3", "0,-1,1,-3", "4,-1,1,0", "7,3,2,1")
+            for a in ("0,0", "2,-1", "-3,5")
+            for argv in (f"sol-link --f={f} --a={a} --b=1,2", f"sol-cap --f={f} --a={a} --format json")
+        ],
+        "ff476b64d386946ae377731e87f0c1610cd03dd16314157c35bc3de30373d30f",
+    ),
+    # qexp at m = 3, combine over an interior table and lk-table, each in
+    # json, csv and text over four fields (d = 94 has a large unit), so
+    # every format of the three table commands stays byte-identical
+    "Table rendering": (
+        "stdout",
+        [
+            argv
+            for d in (2, 5, 13, 94)
+            for fmt in ("json", "csv", "text")
+            for argv in (
+                f"qexp --d {d} --m 3 --nmax 12 --format {fmt}",
+                f"combine --d {d} --interior $t/interior.json --nmax 6 --format {fmt}",
+                f"lk-table --d {d} --nmax 8 --format {fmt}",
+            )
+        ],
+        "4d8b581092462c99362563dd1f00df2f4c837f69b2d006690c95f3822439d16e",
+    ),
+    # the fields the table sweep must get right beyond "Table rendering":
+    # unit norm +1 on both bases (d = 3, 6, 7, 21, 79) and class numbers
+    # 2 and 3 (d = 10, 79) at nmax 40, a column past nmax (m = 50 has no
+    # classes, m = 55 has), and large units (d = 151 and d = 94 up to
+    # nmax 300)
+    "Table sweep fields": (
+        "stdout",
+        [f"lk-table --d {d} --nmax 40 --format csv" for d in (3, 6, 7, 10, 21, 79)]
+        + ["qexp --d 5 --m 50 --nmax 10", "qexp --d 5 --m 55 --nmax 10", "qexp --d 151 --nmax 1", "qexp --d 94 --nmax 300"],
+        "25109b958b90dc953b685afb8d3b3e903513bdd1ab3a85583f6dd80d2f223d6c",
+    ),
+    # w-eval text over both bases (s0 = 0, 1) and a large unit (d = 94),
+    # boxes that clip the kept ellipse (3) and hold all of it (40), and
+    # Im tau from 0.05 to 2.5, plus one json call per field, so every float
+    # of the completed series stays bit-identical
+    "Series rendering": (
+        "stdout",
+        [
+            argv
+            for d in (2, 5, 13, 94)
+            for argv in [
+                f"w-eval --d {d} --tau={tau} --box {box} --n-cut 12"
+                for tau in ("0.25+0.6i", "-0.4+2i", "0.3+0.05i", "3.7+2.5i", "0.1+0.15i")
+                for box in (3, 40)
+            ]
+            + [f"w-eval --d {d} --tau=-0.2+0.9i --format json"]
+        ],
+        "d44f6d018556b9286c8e4525575e838c79b676e95989d49c3ebbdb363d39cc23",
+    ),
+    # malformed input to every subcommand, bad indices, truncations, d, tau
+    # and interior tables, so every error message stays byte-identical
+    "CLI error rendering": (
+        "stderr",
+        [
+            "field-info --d 0",
+            "field-info --d 1",
+            "field-info --d -5",
+            "field-info --d 4",
+            "field-info --d 1000001",
+            "field-info --d 5 --format csv",
+            "sol-link --f 1,2,3,4 --a 1,0 --b 0,1",
+            "sol-link --f 1,0,0,1 --a 1,0 --b 0,1",
+            "sol-link --f 2,1,1,1 --a 1 --b 0,1",
+            "sol-link --f 2,1,1,1 --a x,0 --b 0,1",
+            "sol-cap --f 2,1,1,1 --a 1,2,3",
+            "boundary --d 5 --n 0",
+            "boundary --d 13 --n -3",
+            "boundary --d 12 --n 1",
+            "lk-table --d 5 --nmax 0",
+            "lk-table --d 5 --nmax -2",
+            "lk-table --d 5 --nmax 1001",
+            "qexp --d 5 --nmax 0",
+            "qexp --d 5 --m 0 --nmax 3",
+            "qexp --d 5 --m -1 --nmax 3",
+            "ratio-test --d 5 --nmax 0",
+            "ratio-test --d 5 --nmax 3 --k-range 0",
+            "ratio-test --d 5 --nmax 3 --k-range 10001",
+            "w-eval --d 5 --tau 0.3+1i --box 0",
+            "w-eval --d 5 --tau 0.3+1i --box 1001",
+            "w-eval --d 5 --tau 0.3+1i --k-range 0",
+            "w-eval --d 5 --tau 0.3+1i --k-range 10001",
+            "w-eval --d 5 --tau 0.3+1i --n-cut 0",
+            "w-eval --d 5 --tau 0.3+1i --n-cut -1",
+            "w-eval --d 5 --tau 0.3-1i",
+            "w-eval --d 5 --tau abc",
+            "w-eval --d 5 --tau nan+1i",
+            "combine --d 5 --interior $t/interior_m0.json --nmax 1",
+            "combine --d 5 --interior $t/interior_mtrue.json --nmax 1",
+            "combine --d 5 --interior $t/interior_mstr.json --nmax 3",
+            "combine --d 5 --interior $t/interior_mstr.json --nmax 1 --m 1",
+            "combine --d 5 --interior $t/interior_mstr.json --nmax 0",
+            "combine --d 5 --interior $t/interior_mstr.json --nmax 10",
+            "combine --d 5 --interior $t/interior_mstr.json --nmax 11",
+        ],
+        "82671175f8f21fd76a6f22f9f304a960961478321fb658ca494373097123ef2c",
+    ),
+    # every byte of two tables large enough that most cells share a value
+    "lk-table --d 5 --nmax 100 --format csv": (
+        "stdout",
+        ["lk-table --d 5 --nmax 100 --format csv"],
+        "6d27a5afc942f04bf400d2449e6611af424fe14244308035830f11207572939e",
+    ),
+    "lk-table --d 17 --nmax 60 --format csv": (
+        "stdout",
+        ["lk-table --d 17 --nmax 60 --format csv"],
+        "7318bba2b5b4c22e7d62111d8f83dea6e8bc8f5a46cdfc326e22d8e65877c732",
+    ),
 }
 
 
-@pytest.mark.parametrize("argv", sorted(LK_TABLE_SHA256))
-def test_lk_table_csv_sha256(capsys, argv):
-    code, out, err = run(capsys, *argv.split())
+@pytest.mark.parametrize("group", list(BYTE_PINS))
+def test_byte_pins(tmp_path, group):
+    stream, argvs, sha256 = BYTE_PINS[group]
+    for name, text in PIN_INTERIOR.items():
+        (tmp_path / name).write_bytes(text.encode())
+    chunks, total = [], 0.0
+    for argv in argvs:
+        code, out, err, elapsed = call([token.replace("$t", str(tmp_path)) for token in argv.split()])
+        total += elapsed
+        if stream == "stdout":
+            assert (code, err) == (0, ""), argv
+            chunks.append(out)
+        else:
+            chunks.append(f"{err}exit {code}\n")
+    assert hashlib.sha256("".join(chunks).encode()).hexdigest() == sha256
+    assert total < PIN_BOUND_S
+
+
+def test_every_subcommand_has_pinned_stdout():
+    """A subcommand without pinned stdout bytes, in BYTE_PINS or GOLDEN_STDOUT,
+    fails here."""
+    pinned = {argv.split()[0] for argv in GOLDEN_STDOUT}
+    pinned |= {argv.split()[0] for stream, argvs, _ in BYTE_PINS.values() if stream == "stdout" for argv in argvs}
+    assert set(cli._COMMANDS) <= pinned, set(cli._COMMANDS) - pinned
+
+
+def test_ratio_test_at_a_large_unit():
+    # ratio-test at d = 151, where eps is about 3.5e9 and its conjugate
+    # 2.9e-10: the orbit-minimum series takes each conjugate as N(mu)/mu, so
+    # the ratios agree to float noise (a + b*w' cancelled to a spread of
+    # 3.4e-8); the norms 1..40 come from one sweep of the symmetric domain
+    code, out, err, elapsed = call(["ratio-test", "--d", "151", "--nmax", "40", "--format", "json"])
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == LK_TABLE_SHA256[argv]
+    assert json.loads(out)["spread"] <= 1e-14
+    assert elapsed < PIN_BOUND_S
 
 
 def test_csv_rejected_elsewhere(capsys):
@@ -751,6 +966,39 @@ def test_unwritable_output_exits_2(tmp_path, capsys, target):
     assert err.startswith("error: cannot write output:") and err.count("\n") == 1
 
 
+ENOSPC = "[Errno 28] No space left on device"
+
+
+def _raise_enospc(*args):
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failing, reason", [("write", ENOSPC), ("flush", ENOSPC), ("closed", "stdout is closed")])
+def test_unwritable_stdout_exits_2(capsys, monkeypatch, failing, reason):
+    stdout = None
+    if failing != "closed":
+        stdout = io.StringIO()
+        setattr(stdout, failing, _raise_enospc)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code, out, err = run(capsys, "field-info", "--d", "5")
+    assert (code, out, err) == (2, "", f"error: cannot write output: {reason}\n")
+
+
+@pytest.mark.parametrize("stdout, reason", [("full", ENOSPC), ("closed", "stdout is closed")])
+def test_unwritable_stdout_in_a_fresh_interpreter(stdout, reason):
+    """The one error line is all a call prints: nothing is left for the
+    interpreter to flush, and fail on, at exit."""
+    argv = [sys.executable, "-m", "sollink.cli", "lk-table", "--d", "5", "--nmax", "60"]
+    if stdout == "closed":
+        proc = subprocess.run(argv, stderr=subprocess.PIPE, text=True, timeout=60, preexec_fn=lambda: os.close(1))
+    elif os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    else:
+        pytest.skip("no /dev/full")
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot write output: {reason}\n")
+
+
 def test_output_file_matches_stdout(tmp_path, capsys):
     code, out, _ = run(capsys, "qexp", "--d", "13", "--nmax", "4")
     target = tmp_path / "series.json"
@@ -1025,14 +1273,6 @@ def flags_for(command, interior_paths):
 
 
 COMMANDS = ["field-info", "sol-link", "sol-cap", "boundary", "lk-table", "qexp", "w-eval", "ratio-test", "combine", "self-test"]
-
-
-def call(argv):
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
 
 
 @given(data=st.data())
