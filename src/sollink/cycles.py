@@ -11,20 +11,26 @@ int coordinates: multiplication by eps' is the matrix field.gluing, by
 (eps - 1)' is gluing - I, and each returned value is one Fraction over
 field.n_det = N(eps - 1).  Linking numbers come from per-norm sums of the
 class reps (_link_cells).  A range of norms 1..nmax reads its reps from one
-sweep of a fundamental domain (qfield._norm_reps), and only a single norm
-runs enumerate_norm_classes; the component-pair double sum the cells reduce
-to is the test oracle tests/oracles.link_boundary.
+sweep of a fundamental domain (qfield._norm_reps).  A single norm runs its
+own b-scan: boundary_components and a column m > nmax through
+enumerate_norm_classes, and the closed form link_boundary_closed through
+qfield._norm_coords, the same scan's int rep coordinates, with no element
+built.  Only norms with classes give a nonzero row or column, so a table's
+cells are filled in for those norms alone, on an all-zero template row, and
+assembled into the dict in one pass.  The component-pair double sum the
+cells reduce to is the test oracle tests/oracles.link_boundary.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, _check_index
-from .qfield import FieldData, NormClass, QuadElem, _norm_reps, enumerate_norm_classes
+from .qfield import FieldData, NormClass, QuadElem, _norm_coords, _norm_reps, enumerate_norm_classes
 
 
 @dataclass(frozen=True)
@@ -80,27 +86,38 @@ def _link_cells(field: FieldData, sums: dict, ns, ms) -> dict:
     Lk(n, m) = 2*<S_n/(eps - 1), S_m> with S_k the sum of the reduced norm-k
     reps.  With S_n*(eps - 1)' = p + q*w and S_m = a + b*w the cell is
     2*(q*a - p*b)/N(eps - 1), all integers.
+
+    A norm without classes zeroes its whole row and column, so the cells are
+    assembled row by row from one all-zero template row: a row without classes
+    is the template itself, and a row with classes is a copy of it with only
+    the columns of norms with classes filled in.  Every cell has the
+    denominator n_det, so its numerator fixes its value, and each distinct
+    value is built once per call.  The keys come from itertools.product and
+    the values from the chained rows, so the dict is built in one pass.
     """
     (g00, g01), (g10, g11) = field.gluing
-    doubled = []
-    for m in ms:
-        a, b = sums.get(m, (0, 0))
-        doubled.append((m, 2 * a, 2 * b))
-    out = {}
-    # every cell has the denominator n_det, so its numerator fixes its value; a
-    # norm without classes zeroes a whole row and column, so few values repeat
-    # over many cells and each distinct one is built once per call
-    values = {}
+    n_det = field.n_det
+    zero = Fraction(0, n_det)
+    template = [zero] * len(ms)
+    values = {0: zero}
+    # the columns that can be nonzero, by their index in ms, with 2*S_m
+    cols = [(j, 2 * sums[m][0], 2 * sums[m][1]) for j, m in enumerate(ms) if m in sums]
+    rows = []
     for n in ns:
-        x0, x1 = sums.get(n, (0, 0))
+        if n not in sums:
+            rows.append(template)
+            continue
+        x0, x1 = sums[n]
         p, q = g00 * x0 + g01 * x1 - x0, g10 * x0 + g11 * x1 - x1  # (gluing - I) S_n
-        for m, a2, b2 in doubled:
+        row = template.copy()
+        for j, a2, b2 in cols:
             num = q * a2 - p * b2
             value = values.get(num)
             if value is None:
-                value = values[num] = Fraction(num, field.n_det)
-            out[n, m] = value
-    return out
+                value = values[num] = Fraction(num, n_det)
+            row[j] = value
+        rows.append(row)
+    return dict(zip(itertools.product(ns, ms), itertools.chain.from_iterable(rows)))
 
 
 @functools.cache
@@ -118,19 +135,21 @@ def link_boundary_closed(field: FieldData, n) -> Fraction:
     On ints: Y = (mu + mu'*eps)*(eps - 1)' = p + q*w and X = Y/N(eps - 1), so
     the result is Fraction(sum of q, N(eps - 1)).  Each X must be a rational
     multiple of sqrt(disc); a nonzero trace 2p + s0*q raises ConsistencyError.
+    The sum runs over the int rep coordinates of the norm's b-scan
+    (qfield._norm_coords), so no element is built.
     """
     _check_norm_one(field)
+    _check_index("norm", n)
     s0 = field.s0
     (g00, g01), (g10, g11) = field.gluing
     total = 0
-    for cls in enumerate_norm_classes(field, n):
-        a, b = cls.rep.a, cls.rep.b
+    for a, b in _norm_coords(field, n):
         # mu*eps' = gluing (a, b), and mu'*eps is its conjugate, with w' = s0 - w
         e0, e1 = g00 * a + g01 * b, g10 * a + g11 * b
         x0, x1 = a + e0 + s0 * e1, b - e1  # mu + mu'*eps
         p, q = g00 * x0 + g01 * x1 - x0, g10 * x0 + g11 * x1 - x1  # Y, as (gluing - I)(x0, x1)
         if 2 * p + s0 * q:
-            raise ConsistencyError(f"closed-form term for {cls.rep!r} is not rational*sqrt(disc)")
+            raise ConsistencyError(f"closed-form term for {QuadElem(field, a, b)!r} is not rational*sqrt(disc)")
         total += q
     return Fraction(total, field.n_det)
 

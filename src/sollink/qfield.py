@@ -424,6 +424,14 @@ def enumerate_norm_classes(field: FieldData, n: int) -> list[NormClass]:
     same as the unsieved scan's.
     """
     _check_index("norm", n)
+    # the scan built a and b as ints, so the reps skip element()'s checks
+    return [NormClass(QuadElem(field, a, b)) for a, b in _norm_coords(field, n)]
+
+
+def _norm_coords(field: FieldData, n: int) -> list[tuple[int, int]]:
+    """The coordinates (a, b) of the reps a + b*w that
+    enumerate_norm_classes(field, n) returns, in its order, for an int n >= 1
+    the caller has checked: its sieved b-scan, with no element built."""
     disc, s0 = field.disc, field.s0
     big_t, big_u = field.eps_sq
     n4 = 4 * n
@@ -447,8 +455,7 @@ def enumerate_norm_classes(field: FieldData, n: int) -> list[NormClass]:
             continue
         coords.append(((t - s0 * b) // 2, b))
     coords.sort()
-    # the scan built a and b as ints, so the reps skip element()'s checks
-    return [NormClass(QuadElem(field, a, b)) for a, b in coords]
+    return coords
 
 
 def _norm_reps(field: FieldData, nmax: int) -> dict[int, list[tuple[int, int]]]:

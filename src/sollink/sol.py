@@ -219,7 +219,9 @@ def cap_intersect(cap: CapChain, m: SolManifold, b, s_b) -> Fraction:
     """
     if type(s_b) not in (int, Fraction):
         raise InputError(f"fiber parameter must be an int or a Fraction, got {s_b!r}")
-    if not 0 < s_b < 1:
+    # an int or a Fraction has an int numerator and a positive int
+    # denominator (1 for an int), so the range check runs on those ints
+    if not 0 < s_b.numerator < s_b.denominator:
         raise InputError(f"fiber parameter must lie in (0, 1), got {s_b}")
     if cap.f != m.f:
         raise InputError("cap was built for a different manifold")

@@ -260,10 +260,13 @@ def test_link_table_matches_pointwise(d):
         assert value == link_boundary(f, n, m)
 
 
-def test_link_table_d17_cells():
-    # the cells share one Fraction per distinct value; each must still be the
-    # double sum, a Fraction, and in row-major order
-    f = field(17)
+@pytest.mark.parametrize("d", [5, 13, 17])
+def test_link_table_cells(d):
+    # the cells are filled in only for norms with classes, on an all-zero
+    # template row, and share one Fraction per distinct value; each must still
+    # be the double sum, a Fraction, and in row-major order, also where rows
+    # without classes dominate (12 of the 40 rows at d = 5 have classes)
+    f = field(d)
     t = link_table(f, 40)
     assert list(t.entries) == [(n, m) for n in range(1, 41) for m in range(1, 41)]
     for (n, m), value in t.entries.items():

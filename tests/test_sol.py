@@ -174,7 +174,9 @@ def test_cap_intersect_hand_count():
 def test_cap_intersect_validation():
     m = make_sol(F_EXAMPLE)
     cap = build_cap(m, (1, 0))
-    for bad_s in (0, 1, Fraction(3, 2), -1):
+    # the range check reads a Fraction's numerator and denominator, and
+    # Fraction(1) has denominator 1
+    for bad_s in (0, 1, Fraction(3, 2), -1, Fraction(0), Fraction(1), Fraction(-1, 3)):
         with pytest.raises(InputError):
             cap_intersect(cap, m, (0, 1), bad_s)
     # the offset rule of build_cap: an int or a Fraction, nothing that converts
