@@ -215,8 +215,15 @@ class QuadElem:
         return self.sign() > 0 and self.conj().sign() > 0
 
     def embed(self, conjugate: bool = False) -> float:
-        """Float value under the chosen real embedding (for numerics only)."""
+        """Float value under the chosen real embedding (for numerics only).
+
+        The embedding of smaller magnitude is N(x) divided by the other: as
+        a + b*w it cancels, to 0.0 for eps' at d = 151.  x is the larger one
+        iff b*trace >= 0, since x^2 - x'^2 = b*trace*sqrt(disc)."""
         f = self.field
+        b_trace = self.b * self.trace()
+        if b_trace and conjugate == (b_trace > 0):
+            return self.norm() / self.embed(not conjugate)
         w = (f.s0 + math.sqrt(f.disc)) / 2
         if conjugate:
             w = f.s0 - w

@@ -193,11 +193,8 @@ def holomorphic_ratio_test(field: FieldData, nmax: int, k_range: int) -> RatioRe
     )
 
 
-# Caps on the truncations whose cost does not depend on enumeration.  eval_W
-# visits only the lattice points inside the ellipse pi*v*Q <= _GAUSS_CUTOFF,
-# about 760/(v*sqrt(disc)) of them, so box 1000 (4*10^6 points in the box)
-# costs seconds only when Im tau is tiny.  k_range 10^4 is about 2*10^4 orbit terms per
-# class and n.
+# Caps on the truncations whose cost does not depend on enumeration.
+# k_range 10^4 is about 2*10^4 orbit terms per class and n.
 _BOX_MAX = 1000
 _K_RANGE_MAX = 10_000
 # Floor on Im tau: below v of about 2e-17 |q| = exp(-2 pi v) rounds to 1 and
@@ -207,11 +204,12 @@ _IM_TAU_MIN = 1e-8
 # Cap on |Re tau|: at 1e308 the phase 2*pi*n*tau overflows.  W has period 1
 # in tau, so Re tau can always be reduced mod 1.
 _RE_TAU_MAX = 10**6
-# Cap on Im tau: near 1e307, -pi*v overflows and -inf * 0 at lambda = 0 is nan.
-# Above about 120, |q| is 0.0 and only the lambda = 0 term is left.
+# Cap on Im tau: near 5e307 the Gaussian exponents overflow and the beta sums
+# are nan.  Above about 120, |q| is 0.0 and only the t = b = 0 term is left.
 _IM_TAU_MAX = 10**6
-# math.exp(-t) is exactly 0.0 for t above about 745.13; eval_W skips the
-# lattice points whose Gaussian exponent pi*v*(x^2 + y^2) exceeds this cutoff.
+# math.exp(-x) is exactly 0.0 for x above about 745.13; eval_W skips the t
+# and b whose Gaussian exponent pi*v*t^2/2 or pi*v*disc*b^2/2 exceeds this
+# cutoff.
 _GAUSS_CUTOFF = 760.0
 # Entries kept by _holomorphic_coeffs, one per (field, k_range, n_cut); each
 # holds n_cut floats.
@@ -276,50 +274,84 @@ class WEvalReport:
         return self.holomorphic + self.beta_part
 
 
+def _beta_sums(field: FieldData, tau: complex, box: int) -> tuple:
+    """(sum, shell) of eval_W's lattice: the sum of the terms over |a|, |b| <=
+    box, and the sum of their magnitudes over the points with |a| = box or
+    |b| = box.
+
+    With t = 2a + s0*b the point a + b*w is (t + b*sqrt(disc))/2, of norm
+    (t^2 - disc*b^2)/4, so its term factors as g(t)*h(b) with
+    g(t) = e^{pi i tau t^2/2} and h(b) = beta_scaled(pi*v*disc*b^2) *
+    e^{-pi i conj(tau) disc b^2/2}, and the box holds the t = s0*b (mod 2)
+    with |t - s0*b| <= 2*box.  So the sum is, over b, h(b) times a window of
+    g, read from prefix sums of g over each parity of t: one exp per t and
+    one per b.  Each factor is kept while its own exponent pi*v*t^2/2 or
+    pi*v*disc*b^2/2 is at most _GAUSS_CUTOFF, widened by one against
+    rounding.
+    """
+    v = tau.imag
+    q_cut = _GAUSS_CUTOFF / (math.pi * v)
+    reach = min(box, math.isqrt(int(2 * q_cut / field.disc)) + 1)
+    # the windows of the kept b lie in |t| <= 2*box + s0*reach
+    top = min(math.isqrt(int(2 * q_cut)) + 1, 2 * box + field.s0 * reach)
+    # g[t + top] = g(t); sums[i] and mags[i] add g(t) and |g(t)| over the
+    # t < i - top with t = i - top (mod 2)
+    half = 0.5j * math.pi * tau
+    g, sums, mags = [], [0j, 0j], [0.0, 0.0]
+    for t in range(-top, top + 1):
+        g.append(cmath.exp(half * (t * t)))
+        sums.append(sums[-2] + g[-1])
+        mags.append(mags[-2] + abs(g[-1]))
+
+    def window(prefix, lo, hi):
+        """The sum over t = lo, lo + 2, ..., hi in -top..top."""
+        if lo < -top:
+            lo += (-top - lo + 1) // 2 * 2
+        if hi > top:
+            hi -= (hi - top + 1) // 2 * 2
+        return prefix[hi + top + 2] - prefix[lo + top] if lo <= hi else 0.0
+
+    tilt = -0.5j * math.pi * tau.conjugate()
+    width = 2 * box
+    # plain loops throughout: sum() compensates on Python 3.12+
+    beta_sum, shell_abs = 0j, 0.0
+    for b in range(-reach, reach + 1):
+        h = beta_scaled(math.pi * v * field.disc * b * b) * cmath.exp(tilt * (field.disc * b * b))
+        lo, hi = field.s0 * b - width, field.s0 * b + width
+        beta_sum += h * window(sums, lo, hi)
+        # the rows a = -box and a = box, and at |b| = box the points between
+        ring = window(mags, lo + 2, hi - 2) if abs(b) == box else 0.0
+        for t in (lo, hi):
+            if -top <= t <= top:
+                ring += abs(g[t + top])
+        shell_abs += abs(h) * ring
+    return beta_sum, shell_abs
+
+
 def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
     """Evaluate the completed series at tau: truncated holomorphic part from
     the orbit-minimum coefficients plus the non-holomorphic lattice sum
 
         -(sqrt(2)/sqrt(disc*v)) * sum over lattice a + b*w in the box of
-            beta(pi*v*disc*b^2) * e^{2 pi i N(lambda) tau},
+            beta(pi*v*disc*b^2) * e^{2 pi i N(lambda) tau}.
 
-    each beta term rewritten as beta_scaled(s) * e^{-pi v (lambda^2+lambda'^2)}
-    * e^{2 pi i N u}, whose real exponent is never positive.  beta_scaled
-    depends only on b, so it is evaluated once per b that a visited point
-    has (about 2*sqrt(2*760/(pi*v*disc)) of them); the lattice points are
-    plain ints and floats.  Tail fields are heuristic upper estimates from the
-    last ring of each truncation.
+    The summand is g(t)*h(b), a function of t = 2a + s0*b times one of b
+    (_beta_sums): the lattice sum is theta(tau) times the non-holomorphic
+    part of Zagier's weight-3/2 Eisenstein series, as in Hirzebruch-Zagier.
+    So it is read from one-dimensional sums, O(#t + #b) work and memory with
+    #b <= 2*box + 1 and #t <= 6*box + 1 at any Im tau: the largest lattice,
+    box 1000 at the floor Im tau = 1e-8, takes about 10 ms, and its w-eval
+    process peaks at about 17 MB, 14 MB of them the import.  Tail fields are
+    heuristic upper estimates from the last ring of each truncation.
 
     The holomorphic coefficients depend on (field, k_range, n_cut) but not on
     tau, so they are computed once per key and kept in a bounded LRU cache
     (_HOLO_CACHE_SIZE entries).  A cached coefficient is the float the same
     min_series_coeff call returns, so the report is bit-identical, warm or
     cold.
-
-    Only the points with pi*v*(lambda^2+lambda'^2) <= _GAUSS_CUTOFF = 760 are
-    visited, so the cost is about the number of points in that ellipse,
-    O(1/v), and does not grow with the box once the box covers it.  Every
-    skipped term has e^{-pi v (...)} == 0.0 exactly (math.exp is 0.0 below
-    about -745.13), so adding it would change neither the sum nor the shell
-    sum.
-
-    lambda and -lambda give the same term bit for bit: -a + (-b)*w is
-    -(a + b*w) exactly, and the term reads lambda only through b^2,
-    x^2 + y^2 and N(lambda).  Row -a's b range is row a's negated (the same
-    float root, and floor(-x) == -ceil(x)).  So the points with a < 0, and
-    those of row 0 with b <= 0, compute their terms and keep them, one list
-    per row; every other point adds the kept term of its mirror (-a, -b),
-    reading the mirror row backwards.  About (V + 1)/2 of the V visited
-    points are computed, yet each term is still added once, in the order
-    a outer, b ascending, so beta_part and beta_tail are bit-identical to
-    the full box summed point by point.  A kept term costs about 40 bytes
-    until its mirror row has read it: at the largest lattice, box 1000 with
-    all 4*10^6 points weighing (Im tau = 1e-8), about 2*10^6 terms are
-    kept at once and the w-eval process peaks at about 94 MB.
     """
     tau = params.tau
-    u, v = tau.real, tau.imag
-    q_abs = math.exp(-2 * math.pi * v)
+    q_abs = math.exp(-2 * math.pi * tau.imag)
 
     holo = 0.0j
     max_coeff = 0.0
@@ -329,70 +361,13 @@ def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
     # geometric tail with a factor-4 margin for slow coefficient growth
     holo_tail = 4 * max_coeff * q_abs ** (params.n_cut + 1) / (1 - q_abs) ** 2
 
-    prefactor = -math.sqrt(2) / math.sqrt(field.disc * v)
-    # lambda = a + b*w embeds as (a + b*w, a + b*w')
-    w, w_c = field.omega.embed(), field.omega.embed(conjugate=True)
-    box = params.box
-    # x^2 + y^2 is the integer form Q(a, b) = 2a^2 + 2*s0*ab + q_bb*b^2.  Row a
-    # keeps the b with Q(a, b) <= q_cut, between the roots
-    # (-s0*a -+ sqrt(q_bb*q_cut - disc*a^2))/q_bb, widened by one against
-    # rounding.  Since (x - y)^2 = disc*b^2 is at most 2*(x^2 + y^2), no kept
-    # point has |b| above reach, so only those columns are built and rows are
-    # clipped to +-reach (a clipped point has weight 0.0 exactly).  The centre
-    # -s0*a/q_bb lies within reach, so a row with real roots is never empty.
-    # Only rows with disc*a^2 <= q_bb*q_cut have real roots, and every
-    # |a| > isqrt(int(q_bb*q_cut/disc)) fails that test, so a runs to +-rows.
-    q_bb = field.s0 * field.s0 - 2 * field.n0
-    q_cut = _GAUSS_CUTOFF / (math.pi * v)
-    reach = min(box, math.isqrt(int(2 * q_cut / field.disc)) + 1)
-    # what depends on b alone: beta_scaled, b*w, b*w' and b's share of N(lambda)
-    columns = [
-        (b, beta_scaled(math.pi * v * field.disc * b * b), b * w, b * w_c, field.n0 * b * b)
-        for b in range(-reach, reach + 1)
-    ]
-    gauss, phase = -math.pi * v, 2j * math.pi
-    beta_sum = 0.0j
-    shell_abs = 0.0
-    # row a <= 0 -> its terms (row 0: b < 0) and its shell |mag|, in b order,
-    # until row -a has added them back
-    kept = {}
-    rows = min(box, math.isqrt(int(q_bb * q_cut / field.disc)) + 1)
-    for a in range(-rows, rows + 1):
-        root_sq = q_bb * q_cut - field.disc * a * a
-        if root_sq < 0:
-            continue
-        root = math.sqrt(root_sq)
-        lo = max(math.floor((-field.s0 * a - root) / q_bb) - 1, -reach)
-        hi = min(math.ceil((-field.s0 * a + root) / q_bb) + 1, reach)
-        if a <= 0:
-            on_shell = abs(a) == box
-            terms, shell = kept[a] = [], []
-            for b, beta, bw, bw_c, n_b in columns[lo + reach : (hi if a else 0) + reach + 1]:
-                x, y = a + bw, a + bw_c
-                mag = beta * math.exp(gauss * (x * x + y * y))
-                term = mag * cmath.exp(phase * float(a * a + field.s0 * a * b + n_b) * u)
-                beta_sum += term
-                terms.append(term)
-                if on_shell or abs(b) == box:
-                    shell.append(abs(mag))
-                    shell_abs += shell[-1]
-            if a:
-                continue
-            terms.pop()  # lambda = 0 is its own mirror
-        # row a >= 0 from b = 1 (a = 0) or lo on: the mirrors -lambda of row
-        # -a, which spans -hi..-lo, so read backwards; a plain loop, since
-        # sum() compensates on Python 3.12+
-        terms, shell = kept.pop(-a)
-        for term in reversed(terms):
-            beta_sum += term
-        for mag in reversed(shell):
-            shell_abs += mag
-    beta_tail = abs(prefactor) * 2 * shell_abs
+    prefactor = -math.sqrt(2) / math.sqrt(field.disc * tau.imag)
+    beta_sum, shell_abs = _beta_sums(field, tau, params.box)
     return WEvalReport(
         holomorphic=holo,
         beta_part=prefactor * beta_sum,
         holo_tail=holo_tail,
-        beta_tail=beta_tail,
+        beta_tail=abs(prefactor) * 2 * shell_abs,
     )
 
 

@@ -11,7 +11,8 @@ Boundary linking numbers come from the component-pair double sum, and norm
 solutions from an unreduced box search.  Caps come with Fraction vertices and
 shoelace areas, and their crossing count from the lattice points of a
 half-open parallelogram.  Hurwitz class numbers count reduced binary quadratic
-forms, for the Hirzebruch-Zagier identity and series.
+forms, for the Hirzebruch-Zagier identity and series and for the class-number
+series that eval_W's beta half completes to a modular form.
 
 The theta kernel pair (A, B) and its singular counterpart (A', B') live here
 as closed-form profiles on the signature (1,1) plane, for the tests of their
@@ -352,15 +353,14 @@ def hurwitz_class_number(N: int) -> Fraction:
     return total
 
 
-def hz_series(field: FieldData, nmax: int) -> dict:
-    """n -> H_D(4n) + Lk(n, 1)/2 for n = 1..nmax, D = disc, with
-    H_D(N) = sum of H((N - x^2)/D) over the x with x^2 <= N and x^2 = N
-    (mod D).  With constant term -1/12 this is the Hirzebruch-Zagier series
-    F_D, a weight-2 form for Gamma0(D) with character chi_D."""
+def class_number_series(field: FieldData, nmax: int) -> list:
+    """[H_D(4n) for n = 0..nmax], D = disc, with H_D(N) the sum of
+    H((N - x^2)/D) over the x with x^2 <= N and x^2 = N (mod D); H_D(0) =
+    H(0) = -1/12."""
     D = field.disc
     hurwitz = {}
-    out = {}
-    for n in range(1, nmax + 1):
+    out = []
+    for n in range(nmax + 1):
         h_d = Fraction(0)
         for x in range(-math.isqrt(4 * n), math.isqrt(4 * n) + 1):
             N, rem = divmod(4 * n - x * x, D)
@@ -368,7 +368,35 @@ def hz_series(field: FieldData, nmax: int) -> dict:
                 if N not in hurwitz:
                     hurwitz[N] = hurwitz_class_number(N)
                 h_d += hurwitz[N]
-        out[n] = h_d + link_boundary_closed(field, n) / 2
+        out.append(h_d)
+    return out
+
+
+def hz_series(field: FieldData, nmax: int) -> dict:
+    """n -> H_D(4n) + Lk(n, 1)/2 for n = 1..nmax (class_number_series).
+    With constant term -1/12 this is the Hirzebruch-Zagier series F_D, a
+    weight-2 form for Gamma0(D) with character chi_D."""
+    h_d = class_number_series(field, nmax)
+    return {n: h_d[n] + link_boundary_closed(field, n) / 2 for n in range(1, nmax + 1)}
+
+
+# Relative bound of the weight-2 law on gamma0_grid
+HZ_MODULAR_REL_BOUND = 1e-11
+
+
+def gamma0_grid(D: int) -> list:
+    """((a, b, c, d), tau) for c in (D, -D, 2D) and d in (1, 2, 3, 7, -3)
+    prime to c, with ad - bc = 1 and tau = -d/c + 0.3/|c| + i/|c|, where Im
+    tau and Im g tau are both about 1/|c|.  A weight-2 form F for Gamma0(D)
+    with character chi_D has F(g tau) = kronecker(D, d mod D) (c tau + d)^2
+    F(tau) there."""
+    out = []
+    for c in (D, -D, 2 * D):
+        for d in (1, 2, 3, 7, -3):
+            if math.gcd(c, d) != 1:
+                continue
+            a = pow(d, -1, abs(c))
+            out.append(((a, (a * d - 1) // c, c, d), complex(-d / c + 0.3 / abs(c), 1 / abs(c))))
     return out
 
 

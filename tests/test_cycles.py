@@ -19,7 +19,9 @@ from sollink import (
 from sollink import cycles
 from conftest import field
 from oracles import (
+    HZ_MODULAR_REL_BOUND,
     enumerate_norm_classes_reference,
+    gamma0_grid,
     hurwitz_class_number,
     hz_series,
     kronecker,
@@ -179,15 +181,13 @@ def test_hirzebruch_zagier_series_is_modular(d):
 # class number 1, 2 (10, 15, 26, 30, 34, 35, 39, 42, 65) and 3 (79), with
 # fundamental units of either norm; D = disc runs up to 316
 HZ_MODULAR_FIELDS = [2, 5, 10, 14, 15, 19, 22, 23, 26, 30, 31, 34, 35, 39, 42, 65, 79]
-HZ_MODULAR_REL_BOUND = 1e-11
 
 
 @pytest.mark.parametrize("d", HZ_MODULAR_FIELDS)
 def test_hirzebruch_zagier_series_is_modular_at_many_fields(d):
-    # the law of test_hirzebruch_zagier_series_is_modular at
-    # tau = -d_g/c + 0.3/|c| + i/|c|, where Im tau and Im g tau are both about
-    # 1/|c| for c up to 2D, so 12*D + 100 coefficients leave a tail far below
-    # the bound
+    # the law of test_hirzebruch_zagier_series_is_modular on gamma0_grid,
+    # where Im tau and Im g tau are both about 1/|c| for c up to 2D, so
+    # 12*D + 100 coefficients leave a tail far below the bound
     f = field(d)
     D = f.disc
     coeffs = [float(c) for c in hz_series(f, 12 * D + 100).values()]
@@ -195,19 +195,12 @@ def test_hirzebruch_zagier_series_is_modular_at_many_fields(d):
     def F(tau):
         return -1 / 12 + sum(c * cmath.exp(2j * math.pi * n * tau) for n, c in enumerate(coeffs, start=1))
 
-    checked = 0
-    for c in (D, -D, 2 * D):
-        for d_g in (1, 2, 3, 7, -3):
-            if math.gcd(c, d_g) != 1:
-                continue
-            a = pow(d_g, -1, abs(c))
-            b = (a * d_g - 1) // c  # a*d_g - b*c = 1
-            tau = complex(-d_g / c + 0.3 / abs(c), 1 / abs(c))
-            lhs = F((a * tau + b) / (c * tau + d_g))
-            rhs = kronecker(D, d_g % D) * (c * tau + d_g) ** 2 * F(tau)
-            assert abs(lhs - rhs) <= HZ_MODULAR_REL_BOUND * abs(lhs), (c, d_g, abs(lhs - rhs) / abs(lhs))
-            checked += 1
-    assert checked >= 3  # d = 42 (D = 168): only d_g = 1 is prime to c
+    grid = gamma0_grid(D)
+    for (a, b, c, d_g), tau in grid:
+        lhs = F((a * tau + b) / (c * tau + d_g))
+        rhs = kronecker(D, d_g % D) * (c * tau + d_g) ** 2 * F(tau)
+        assert abs(lhs - rhs) <= HZ_MODULAR_REL_BOUND * abs(lhs), (c, d_g, abs(lhs - rhs) / abs(lhs))
+    assert len(grid) >= 3  # d = 42 (D = 168): only d_g = 1 is prime to c
 
 
 def test_link_boundary_empty_cycle(field5):

@@ -436,6 +436,19 @@ def test_sign_agrees_with_float_embedding(d, a, b):
         assert x.sign() == (1 if emb > 0 else -1)
 
 
+def test_conjugate_embedding_does_not_cancel():
+    # eps' = 1/eps is about 2.9e-10 at d = 151, where a + b*w' cancels to 0.0
+    eps = field(151).eps
+    assert abs(eps.embed(conjugate=True) * eps.embed() - 1) <= 1e-15
+
+
+@given(small_fields, coords, coords)
+@settings(max_examples=80, deadline=None)
+def test_embeddings_multiply_to_the_norm(d, a, b):
+    x = field(d).element(a, b)
+    assert x.embed() * x.embed(conjugate=True) == pytest.approx(x.norm(), rel=1e-12, abs=1e-9)
+
+
 @given(small_fields, coords, coords, st.integers(min_value=-4, max_value=4))
 @settings(max_examples=80, deadline=None)
 def test_reduction_is_orbit_invariant(d, a, b, k):

@@ -3,7 +3,9 @@
 import cmath
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -456,20 +458,29 @@ def test_rejected_params_add_no_cache_entry(field5):
     assert cache.cache_info().currsize == 0
 
 
+def assert_beta_matches_reference(report, f, tau, box):
+    """beta_part within 1e-13 and beta_tail within 1e-12 relative of the
+    point-by-point lattice sum: eval_W's one-dimensional sums add the same
+    terms in another order."""
+    beta, tail = beta_lattice_reference(f, tau, box)
+    assert abs(report.beta_part - beta) <= 1e-13 * abs(beta)
+    assert abs(report.beta_tail - tail) <= 1e-12 * tail
+
+
 # 0.3+0.05i keeps nearly the whole box up to box 40, 8i keeps a handful of points
 @pytest.mark.parametrize("d", [2, 3, 5, 13, 94])
 @pytest.mark.parametrize("box", [1, 7, 40])
 @pytest.mark.parametrize("tau", [0.25 + 0.6j, 1.3j, -0.4 + 2.0j, 3.7 + 2.5j, 0.3 + 0.05j, 8j])
 def test_beta_lattice_matches_reference(d, box, tau):
     report = eval_W(field(d), WEvalParams(tau=tau, box=box, n_cut=1))
-    assert (report.beta_part, report.beta_tail) == beta_lattice_reference(field(d), tau, box)
+    assert_beta_matches_reference(report, field(d), tau, box)
 
 
 def test_beta_lattice_matches_reference_box_120(field5):
-    # the kept ellipse, |a| < 54 and |b| < 45, lies strictly inside the box
+    # the Gaussian cutoff keeps |t| <= 99 and |b| <= 44, strictly inside the box
     tau = 0.3 + 0.05j
     report = eval_W(field5, WEvalParams(tau=tau, box=120, n_cut=1))
-    assert (report.beta_part, report.beta_tail) == beta_lattice_reference(field5, tau, 120)
+    assert_beta_matches_reference(report, field5, tau, 120)
 
 
 def test_eval_w_cost_does_not_grow_with_box(field5):
@@ -478,12 +489,12 @@ def test_eval_w_cost_does_not_grow_with_box(field5):
     report = eval_W(field5, WEvalParams(tau=tau, box=1000))
     elapsed = time.perf_counter() - start
     assert report.beta_part == eval_W(field5, WEvalParams(tau=tau, box=40)).beta_part
-    assert elapsed < 0.5  # the full box is 4*10^6 points, seconds of work
+    assert elapsed < 0.5
 
 
 def test_eval_w_builds_only_reachable_columns(field5, monkeypatch):
-    # (x - y)^2 = disc*b^2 <= 2*(x^2 + y^2) <= 2*760/(pi*v) bounds |b| by
-    # isqrt(96) + 1 = 10 at d = 5, v = 1, so 21 columns of the 2001 in the box
+    # pi*v*disc*b^2/2 <= 760 bounds |b| by isqrt(96) + 1 = 10 at d = 5,
+    # v = 1, so 21 columns of the 2001 in the box
     calls = 0
     real = sollink.qseries.beta_scaled
 
@@ -495,17 +506,18 @@ def test_eval_w_builds_only_reachable_columns(field5, monkeypatch):
     monkeypatch.setattr(sollink.qseries, "beta_scaled", counting)
     report = eval_W(field5, WEvalParams(tau=0.3 + 1j, box=1000, n_cut=1))
     assert calls == 21
-    assert (report.beta_part, report.beta_tail) == beta_lattice_reference(field5, 0.3 + 1j, 40)
+    assert_beta_matches_reference(report, field5, 0.3 + 1j, 40)
 
 
-# (tau, box, lattice phases): (V + 1)/2 of the V visited points, since
-# lambda = 0 is its own mirror.  The first kept ellipse lies inside box 40,
-# so the oracle sums that box; 0.3+0.05i at box 7 is clipped by the box
+# (tau, box, #t, #b): the t and b within the Gaussian cutoff, widened by one,
+# with |b| <= box and |t| <= 2*box + |b|.  The cutoff binds at 0.3+1i and
+# -0.4+2i, inside box 40, so the oracle sums that box; the box binds at
+# 0.3+0.05i (|t| <= 99 and |b| <= 44 otherwise)
 @pytest.mark.parametrize(
-    "tau, box, phases",
-    [(0.3 + 1j, 1000, 209), (0.3 + 0.05j, 7, 113), (-0.4 + 2j, 40, 110)],
+    "tau, box, ts, bs",
+    [(0.3 + 1j, 1000, 45, 21), (0.3 + 0.05j, 7, 43, 15), (-0.4 + 2j, 40, 33, 15)],
 )
-def test_eval_w_evaluates_each_mirror_pair_once(field5, monkeypatch, tau, box, phases):
+def test_eval_w_takes_one_exp_per_t_and_per_b(field5, monkeypatch, tau, box, ts, bs):
     calls = 0
 
     def counting(z):
@@ -515,8 +527,57 @@ def test_eval_w_evaluates_each_mirror_pair_once(field5, monkeypatch, tau, box, p
 
     monkeypatch.setattr(sollink.qseries, "cmath", SimpleNamespace(exp=counting, isfinite=cmath.isfinite))
     report = eval_W(field5, WEvalParams(tau=tau, box=box, n_cut=1))
-    assert calls == 1 + phases  # one holomorphic phase at n_cut 1
-    assert (report.beta_part, report.beta_tail) == beta_lattice_reference(field5, tau, min(box, 40))
+    assert calls == 1 + ts + bs  # one holomorphic phase at n_cut 1
+    assert_beta_matches_reference(report, field5, tau, min(box, 40))
+
+
+# A process that only imports sollink peaks at about 14 MB; the 2-D lattice
+# these sums replaced kept about 2*10^6 terms here, for 1.4 s and 93 MB
+FLOOR_CALL = """
+import time
+from sollink import WEvalParams, eval_W, make_field
+field = make_field(5)
+start = time.perf_counter()
+eval_W(field, WEvalParams(tau=0.3 + 1e-8j, box=1000))
+elapsed = time.perf_counter() - start
+status = open("/proc/self/status").read()
+print(elapsed, next(line.split()[1] for line in status.splitlines() if line.startswith("VmHWM:")))
+"""
+
+
+def test_eval_w_floor_call_stays_small():
+    # the largest lattice: Im tau at its floor and box 1000
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read the peak from")
+    proc = subprocess.run([sys.executable, "-c", FLOOR_CALL], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    elapsed, peak_kb = proc.stdout.split()
+    assert int(peak_kb) < 40 * 1024
+    assert float(elapsed) < 1.0  # about 0.01 s
+
+
+# class number 1 (2, 5, 13) and 2 (10, 65), on both bases
+@pytest.mark.parametrize("d", [2, 5, 13, 10, 65])
+def test_beta_half_completes_the_class_number_series(d):
+    # Hirzebruch-Zagier: G = sum_{n >= 0} H_D(4n) q^n - sqrt(2)*beta_part is a
+    # weight-2 form for Gamma0(D) with character chi_D, since beta_part is
+    # -theta(tau)/sqrt(2) times the non-holomorphic part of Zagier's
+    # weight-3/2 Eisenstein series at D*tau/4.  It reads neither Lk nor the
+    # holomorphic half, so it checks the beta half alone
+    f = field(d)
+    D = f.disc
+    coeffs = [float(h) for h in oracles.class_number_series(f, 12 * D + 100)]
+
+    def G(tau):
+        holo = 0j
+        for n, c in enumerate(coeffs):
+            holo += c * cmath.exp(2j * math.pi * n * tau)
+        return holo - math.sqrt(2) * eval_W(f, WEvalParams(tau=tau, box=1000, n_cut=1)).beta_part
+
+    for (a, b, c, d_g), tau in oracles.gamma0_grid(D):
+        lhs = G((a * tau + b) / (c * tau + d_g))
+        rhs = oracles.kronecker(D, d_g % D) * (c * tau + d_g) ** 2 * G(tau)
+        assert abs(lhs - rhs) <= oracles.HZ_MODULAR_REL_BOUND * abs(lhs), (c, d_g, abs(lhs - rhs) / abs(lhs))
 
 
 def test_eval_w_period_one(field5):
