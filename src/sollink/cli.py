@@ -46,35 +46,25 @@ def _parse_ints(text: str, count: int, flag: str) -> tuple:
         raise InputError(f"{flag} needs integers, got {text!r}") from None
 
 
-# A-priori work caps.  An enumeration is charged its steps in closed form
-# (qfield._enumeration_steps), a range command holds at most _CELLS_MAX
-# entries (lk-table's nmax^2 cells, the others' nmax or n-cut), and
-# _check_orbit_budget charges the orbit-minimum terms of ratio-test and w-eval.
+# A-priori work caps.  A call is charged its steps in closed form
+# (qfield._enumeration_steps: the enumeration, and for ratio-test and w-eval
+# the orbit-minimum sums of each class), and a range command holds at most
+# _CELLS_MAX entries (lk-table's nmax^2 cells, the others' nmax or n-cut).
 _SCAN_BUDGET = 3 * 10**7
 _CELLS_MAX = 10**6
 
 
-def _check_scan_budget(field, nmax: int, m: int = 0) -> None:
+def _check_scan_budget(field, nmax: int, m: int = 0, k_range: int = 0) -> None:
     """InputError when the norms 1..nmax give more than _CELLS_MAX entries,
-    or enumerating them and m takes more than _SCAN_BUDGET steps; norms below
-    1 are left to the library's checks."""
+    or enumerating them and m, with the orbit sums of their classes at
+    k_range, takes more than _SCAN_BUDGET steps; values out of range are left
+    to the library's checks, which a caller runs first for k_range."""
     from .qfield import _enumeration_steps
 
     if nmax > _CELLS_MAX:
         raise InputError(f"norms up to n = {nmax} give more than {_CELLS_MAX} entries")
-    if _enumeration_steps(field, nmax, m) > _SCAN_BUDGET:
+    if _enumeration_steps(field, nmax, m, k_range) > _SCAN_BUDGET:
         raise InputError(f"norm-class scans up to n = {max(nmax, m)} at d = {field.d} need more than {_SCAN_BUDGET} steps")
-
-
-def _check_orbit_budget(nmax: int, k_range: int) -> None:
-    """InputError when the orbit-minimum sums over the norms 1..nmax, at
-    2*k_range + 1 terms each, exceed _SCAN_BUDGET terms: at k-range 10^4 that
-    is past nmax 1499.  Values out of range are left to the library's
-    checks."""
-    from .qseries import _K_RANGE_MAX
-
-    if nmax > 0 and k_range <= _K_RANGE_MAX and nmax * (2 * k_range + 1) > _SCAN_BUDGET:
-        raise InputError(f"orbit-minimum sums up to n = {nmax} at k-range {k_range} need more than {_SCAN_BUDGET} terms")
 
 
 # argparse reads a value that starts with '-' as an option unless it is a plain
@@ -344,8 +334,7 @@ def _run_w_eval(args: argparse.Namespace) -> tuple[int, str]:
 
     tau = parse_tau(args.tau)
     params = qseries.WEvalParams(tau=tau, k_range=args.k_range, box=args.box, n_cut=args.n_cut)
-    _check_scan_budget(args.field, args.n_cut)
-    _check_orbit_budget(args.n_cut, args.k_range)
+    _check_scan_budget(args.field, args.n_cut, k_range=args.k_range)
     rep = qseries.eval_W(args.field, params)
     payload = {
         "d": args.d,
@@ -377,8 +366,9 @@ def _run_w_eval(args: argparse.Namespace) -> tuple[int, str]:
 def _run_ratio_test(args: argparse.Namespace) -> tuple[int, str]:
     from . import qseries
 
-    _check_scan_budget(args.field, args.nmax)
-    _check_orbit_budget(args.nmax, args.k_range)
+    # the library's check, before the budget charges k_range
+    _check_index("k_range", args.k_range, qseries._K_RANGE_MAX)
+    _check_scan_budget(args.field, args.nmax, k_range=args.k_range)
     report = qseries.holomorphic_ratio_test(args.field, args.nmax, args.k_range)
     ratios = sorted(report.ratios.items())
     payload = {

@@ -201,9 +201,6 @@ _K_RANGE_MAX = 10_000
 # the holomorphic tail estimate divides by zero; the truncations mean nothing
 # long before that.
 _IM_TAU_MIN = 1e-8
-# Cap on |Re tau|: at 1e308 the phase 2*pi*n*tau overflows.  W has period 1
-# in tau, so Re tau can always be reduced mod 1.
-_RE_TAU_MAX = 10**6
 # Cap on Im tau: near 5e307 the Gaussian exponents overflow and the beta sums
 # are nan.  Above about 120, |q| is 0.0 and only the t = b = 0 term is left.
 _IM_TAU_MAX = 10**6
@@ -239,11 +236,6 @@ class WEvalParams:
             raise InputError(f"Im tau must be at least {_IM_TAU_MIN}, got {self.tau.imag!r}")
         if self.tau.imag > _IM_TAU_MAX:
             raise InputError(f"Im tau must be at most {_IM_TAU_MAX}, got {self.tau.imag!r}")
-        if abs(self.tau.real) > _RE_TAU_MAX:
-            raise InputError(
-                f"|Re tau| must be at most {_RE_TAU_MAX} (W has period 1 in tau, so reduce Re tau mod 1),"
-                f" got {self.tau.real!r}"
-            )
         _check_index("k_range", self.k_range, _K_RANGE_MAX)
         _check_index("box", self.box, _BOX_MAX)
         _check_index("n_cut", self.n_cut)
@@ -349,8 +341,12 @@ def eval_W(field: FieldData, params: WEvalParams) -> WEvalReport:
     (_HOLO_CACHE_SIZE entries).  A cached coefficient is the float the same
     min_series_coeff call returns, so the report is bit-identical, warm or
     cold.
+
+    W has period 1 in tau, so Re tau is first reduced mod 1 by math.fmod,
+    which is exact and the identity for |Re tau| < 1: any finite Re tau is
+    accepted, and none puts its rounding into the phases 2*pi*n*tau.
     """
-    tau = params.tau
+    tau = complex(math.fmod(params.tau.real, 1.0), params.tau.imag)
     q_abs = math.exp(-2 * math.pi * tau.imag)
 
     holo = 0.0j

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -458,7 +459,8 @@ BYTE_PINS = {
     # w-eval text over both bases (s0 = 0, 1) and a large unit (d = 94),
     # boxes that clip the beta sums (3) and hold all of them (40), and
     # Im tau from 0.05 to 2.5, plus one json call per field, so every float
-    # of the completed series stays bit-identical
+    # of the completed series stays bit-identical; 3.7+2.5i is evaluated at
+    # its Re tau mod 1
     "Series rendering": (
         "stdout",
         [
@@ -471,7 +473,7 @@ BYTE_PINS = {
             ]
             + [f"w-eval --d {d} --tau=-0.2+0.9i --format json"]
         ],
-        "9e817cb86775264c829152c59280e228544c312bab774be322e55a594cad027f",
+        "57cafa4c652c2ce42c13f29eb2f8605fb13a8dc3f61279ab8aa0c1ba040d2954",
     ),
     # malformed input to every subcommand, bad indices, truncations, d, tau
     # and interior tables, so every error message stays byte-identical
@@ -604,8 +606,6 @@ BAD_TAU = {
     "-0.5+1e-320i": "Im tau must be at least 1e-08",
     "0+1e-17i": "Im tau must be at least 1e-08",
     "0.0+1e308i": "Im tau must be at most 1000000",
-    "1e308+1i": "|Re tau| must be at most 1000000 (W has period 1 in tau, so reduce Re tau mod 1)",
-    "-1e7+1i": "|Re tau| must be at most 1000000 (W has period 1 in tau, so reduce Re tau mod 1)",
 }
 
 
@@ -614,6 +614,15 @@ def test_w_eval_rejects_bad_tau(capsys, bad_tau):
     code, out, err = run(capsys, "w-eval", "--d", "5", f"--tau={bad_tau}")
     assert code == 2 and out == "" and "error:" in err
     assert BAD_TAU[bad_tau] in err
+
+
+@pytest.mark.parametrize("far", ["1e308", "-1e7"])
+def test_w_eval_reduces_re_tau_mod_1(capsys, far):
+    # W has period 1 in tau: any finite Re tau is read mod 1
+    code, out, err = run(capsys, "w-eval", "--d", "5", f"--tau={far}+1i")
+    near = run(capsys, "w-eval", "--d", "5", f"--tau={math.fmod(float(far), 1.0)!r}+1i")
+    assert (code, err) == (0, "") and near[0] == 0
+    assert out.splitlines()[1:] == near[1].splitlines()[1:]
 
 
 @pytest.mark.parametrize(
@@ -666,7 +675,8 @@ def test_w_eval_rejects_oversized_truncation(capsys, flag, value, message):
 # of 1.2e28), 9.9e14 for lk-table d=991 up to nmax 20, 1.4e15 up to n = 40,
 # 4.5e13 for m = 10^30 at d=5.  Every range command holds at most 10^6
 # entries.  The orbit-minimum sums of ratio-test and w-eval at k-range 10^4
-# and 2*10^4 norms take 4e8 terms (about 80 s each before they were charged).
+# up to n = 2*10^4 at d = 5 are charged 5.9e8 steps (about 80 s each before
+# they were charged).
 OVER_BUDGET = {
     ("boundary", "--d", "991", "--n", "1"): "need more than 30000000 steps",
     ("lk-table", "--d", "94", "--nmax", "2000"): "gives 4000000 cells, more than 1000000",
@@ -676,8 +686,8 @@ OVER_BUDGET = {
     ("qexp", "--d", "5", "--nmax", "3", "--m", str(10**30)): "need more than 30000000 steps",
     ("ratio-test", "--d", "991", "--nmax", "40"): "need more than 30000000 steps",
     ("w-eval", "--d", "991", "--tau", "0+1i", "--n-cut", "40"): "need more than 30000000 steps",
-    ("ratio-test", "--d", "5", "--nmax", "20000", "--k-range", "10000"): "need more than 30000000 terms",
-    ("w-eval", "--d", "5", "--tau", "0.1+1i", "--k-range", "10000", "--n-cut", "20000"): "need more than 30000000 terms",
+    ("ratio-test", "--d", "5", "--nmax", "20000", "--k-range", "10000"): "need more than 30000000 steps",
+    ("w-eval", "--d", "5", "--tau", "0.1+1i", "--k-range", "10000", "--n-cut", "20000"): "need more than 30000000 steps",
 }
 
 
@@ -717,18 +727,48 @@ def test_budget_accepts_what_the_b_range_count_accepts(d):
     cli._check_scan_budget(field, nmax)
 
 
+# The largest nmax of ratio-test and n-cut of w-eval the budget admits, at
+# the default k-range (80 and 60) and at 10^4.  It charges each class of the
+# sweep its orbit sum, and the classes per norm grow with ln(Tr eps)/sqrt(disc):
+# 0.49 at d = 5, 1.89 at d = 97.  As subprocesses each top takes 3-6 s.
+ORBIT_TOPS = {
+    3: {"ratio-test": (143050, 1246), "w-eval": (185537, 1246)},
+    5: {"ratio-test": (116518, 1015), "w-eval": (151125, 1015)},
+    13: {"ratio-test": (86073, 750), "w-eval": (111638, 750)},
+    41: {"ratio-test": (44020, 384), "w-eval": (57087, 384)},
+    97: {"ratio-test": (27208, 260), "w-eval": (34778, 260)},
+}
+ORBIT_ARGV = {"ratio-test": ["ratio-test", "--nmax"], "w-eval": ["w-eval", "--tau=0.1+1i", "--n-cut"]}
+
+
+def default_k_range(command):
+    return cli._build_parser().parse_args([*ORBIT_ARGV[command], "1", "--d", "5"]).k_range
+
+
 @pytest.mark.parametrize("d", [3, 5, 13])
 def test_default_k_range_binds_first(d):
-    # at its default k-range each subcommand's orbit budget binds before the
-    # scan budget and the entries cap: ratio-test (k 80) past nmax 186335,
-    # w-eval (k 60) past n-cut 247933
+    # at its default k-range the orbit sums of each subcommand bind before
+    # the sweep alone and the entries cap
     field = make_field(d)
-    for argv, top in ((["ratio-test", "--nmax", "1"], 186335), (["w-eval", "--tau", "1i"], 247933)):
-        k_range = cli._build_parser().parse_args([*argv, "--d", str(d)]).k_range
+    for command, (top, _) in ORBIT_TOPS[d].items():
+        k_range = default_k_range(command)
         cli._check_scan_budget(field, top + 1)
-        cli._check_orbit_budget(top, k_range)
-        with pytest.raises(InputError, match="need more than 30000000 terms"):
-            cli._check_orbit_budget(top + 1, k_range)
+        cli._check_scan_budget(field, top, k_range=k_range)
+        with pytest.raises(InputError, match=f"up to n = {top + 1} at d = {d} need more than 30000000 steps"):
+            cli._check_scan_budget(field, top + 1, k_range=k_range)
+
+
+@pytest.mark.parametrize("d", [5, 13, 41, 97])
+@pytest.mark.parametrize("command", sorted(ORBIT_ARGV))
+def test_one_past_the_orbit_top_exits_2_at_once(capsys, d, command):
+    field = make_field(d)
+    for k_range, top in zip((default_k_range(command), 10**4), ORBIT_TOPS[d][command]):
+        cli._check_scan_budget(field, top, k_range=k_range)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *ORBIT_ARGV[command], str(top + 1), "--k-range", str(k_range), "--d", str(d))
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err == f"error: norm-class scans up to n = {top + 1} at d = {d} need more than 30000000 steps\n"
 
 
 def test_range_commands_hold_at_most_a_million_entries():
@@ -749,9 +789,10 @@ def test_lk_table_at_a_large_unit_runs(capsys):
 
 
 def test_orbit_budget_at_the_largest_k_range(capsys):
-    cli._check_orbit_budget(1499, 10**4)
-    with pytest.raises(InputError, match="up to n = 1500 at k-range 10000 need more than 30000000 terms"):
-        cli._check_orbit_budget(1500, 10**4)
+    field = make_field(5)
+    cli._check_scan_budget(field, 1015, k_range=10**4)
+    with pytest.raises(InputError, match="up to n = 1016 at d = 5 need more than 30000000 steps"):
+        cli._check_scan_budget(field, 1016, k_range=10**4)
     # an oversized k-range is named by the library's own check
     code, out, err = run(capsys, "ratio-test", "--d", "5", "--nmax", "1500", "--k-range", "10001")
     assert (code, out) == (2, "") and err == "error: k_range must be at most 10000, got 10001\n"

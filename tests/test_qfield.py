@@ -20,6 +20,7 @@ from sollink.qfield import (
     _TABLE_MAX,
     _TABLE_PRIMES,
     _WHEEL_MODULI,
+    _enumeration_steps,
     _norm_reps,
     _residue_table,
     _scan_length,
@@ -281,6 +282,21 @@ def test_norm_rep_sums_keep_the_domain_edge(d):
     one_plus_eps = f.eps + 1
     assert (one_plus_eps.a, one_plus_eps.b) in _scan_reps(f, n)
     assert _norm_reps(f, n)[n] == _scan_reps(f, n)
+
+
+@pytest.mark.parametrize("d", [5, 13, 41, 94, 97])
+@pytest.mark.parametrize("nmax", [400, 4000])
+def test_class_count_estimate(d, nmax):
+    # the budget charges each class its orbit sum, counting the classes up to
+    # nmax as ceil(nmax*ln(Tr eps)/sqrt(disc)): at nmax 400 it reads 197, 267,
+    # 520, 316 and 758 against 172, 269, 525, 318 and 778 classes
+    f = field(d)
+    classes = sum(map(len, _norm_reps(f, nmax).values()))
+    estimate = math.ceil(nmax * math.log(f.eps.trace()) / math.sqrt(f.disc))
+    assert abs(classes - estimate) <= 0.15 * estimate
+    rows = math.isqrt(nmax * (f.eps.trace() - 2) // f.disc)
+    assert _enumeration_steps(f, nmax) == 8 * (2 * rows + 1) + estimate
+    assert _enumeration_steps(f, nmax, k_range=60) == 8 * (2 * rows + 1) + estimate * (1 + 40 + 3 * 121)
 
 
 @st.composite

@@ -372,11 +372,18 @@ def test_eval_params_validation():
         with pytest.raises(InputError, match="Im tau must be at most 1000000"):
             WEvalParams(tau=complex(0, huge))
     assert WEvalParams(tau=1e6j).tau == 1e6j
-    for far in (1e6 + 1, -1e7, 1e308):
-        with pytest.raises(InputError, match=r"\|Re tau\| must be at most 1000000 \(W has period 1"):
-            WEvalParams(tau=complex(far, 1))
-    assert WEvalParams(tau=complex(-1e6, 1)).tau.real == -1e6
-    assert WEvalParams(tau=complex(1e6, 1)).tau.real == 1e6
+    # any finite Re tau: eval_W reduces it mod 1
+    for far in (1e6 + 1, -1e7, 1e308, -1e6, 1e6):
+        assert WEvalParams(tau=complex(far, 1)).tau.real == far
+
+
+@pytest.mark.parametrize("v", [1e-3, 1e-8])
+def test_eval_W_reduces_re_tau_mod_1(field5, v):
+    # W has period 1 in tau; unreduced, 999999.25 moved beta_part by 8.4e-7
+    # at v = 1e-3 and by 3.8e3 (of about 1.6e8) at v = 1e-8
+    near = eval_W(field5, WEvalParams(tau=complex(0.25, v), box=1000))
+    far = eval_W(field5, WEvalParams(tau=complex(999999.25, v), box=1000))
+    assert repr(far) == repr(near)
 
 
 def test_series_functions_share_the_k_range_bounds(field5):

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from sollink import InputError, beta_fn, beta_scaled
+from conftest import field
 from oracles import (
     A_profile,
     Ap_profile,
@@ -145,6 +146,35 @@ def test_bp_profile_cone_support():
     p = WPoint(1.0, 0.5)
     assert Bp_profile(p) == pytest.approx(0.5 * 0.5 * math.exp(-math.pi * 0.75), abs=1e-15)
     assert Bp_profile(WPoint(-1.0, 0.5)) == Bp_profile(p)
+
+
+def test_b_profile_is_the_beta_weight():
+    # B(p) = -2*sqrt(2)*beta_scaled(2*pi*x3^2)*e^{-pi(x2^2 + x3^2)}: the lattice
+    # weight of eval_W's beta half
+    grid = [i / 8 for i in range(-16, 17)]
+    for x2 in grid:
+        for x3 in grid:
+            expected = -2 * math.sqrt(2) * beta_scaled(2 * math.pi * x3 * x3) * math.exp(-math.pi * (x2 * x2 + x3 * x3))
+            assert B_profile(WPoint(x2, x3)) == pytest.approx(expected, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("d", [2, 5, 13])
+def test_bp_profile_is_the_orbit_minimum_term(d):
+    # at p = sqrt(v)*((l + l')/sqrt(2), (l - l')/sqrt(2)), B' is the orbit-minimum
+    # term (1/2)*sqrt(2v)*min(|l|, |l'|)*e^{-2 pi v N(l)} inside the positive
+    # cone N(l) > 0, and 0 outside it
+    f = field(d)
+    for v in (0.01, 0.003):
+        for a in range(-30, 31):
+            for b in range(-30, 31):
+                lam = f.element(a, b)
+                x, xc = lam.embed(), lam.embed(conjugate=True)
+                p = WPoint(math.sqrt(v) * (x + xc) / math.sqrt(2), math.sqrt(v) * (x - xc) / math.sqrt(2))
+                if lam.norm() <= 0:
+                    assert Bp_profile(p) == 0.0
+                    continue
+                expected = 0.5 * math.sqrt(2 * v) * min(abs(x), abs(xc)) * math.exp(-2 * math.pi * v * lam.norm())
+                assert Bp_profile(p) == pytest.approx(expected, rel=1e-9, abs=0), (a, b)
 
 
 def test_ap_profile_values():
