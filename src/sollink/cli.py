@@ -9,15 +9,18 @@ Each subcommand is declared once, by the _command decorator on its handler,
 and imports the layers and stdlib modules it runs when it runs, so a call
 loads only what it uses and a usage error exits before any layer is loaded.
 main builds the field of a --d subcommand as args.field, so a bad --d is
-reported before the handler checks its own flags.  Handlers render every
-format through _render, which loads json only for --format json.
+reported before the handler checks its own flags.  A handler runs every
+check and builds its result before it returns its exit code and its output as
+an iterable of text chunks, so a failing call prints nothing.  It renders
+through _render, or for a range command through _render_rows, which formats
+one row of cells per chunk; both load json only for --format json.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
+from collections.abc import Iterable
 
 from .errors import ConsistencyError, InputError, _check_index
 
@@ -108,15 +111,35 @@ def _command(name: str, help: str, *flags: tuple, d: bool = False, tables: bool 
     return register
 
 
-def _render(fmt: str, payload, lines, csv=()) -> str:
-    """`payload` as indented JSON for --format json, the `csv` lines for
-    --format csv, else `lines`, one a line.  Both may be generators, so a
-    call builds only the lines it prints."""
+def _render(fmt: str, payload, lines) -> tuple[str]:
+    """The output as one chunk: `payload` as indented JSON for --format json,
+    else `lines`, one a line."""
     if fmt == "json":
         import json
 
-        return json.dumps(payload, indent=2) + "\n"
-    return "\n".join(csv if fmt == "csv" else lines) + "\n"
+        return (json.dumps(payload, indent=2) + "\n",)
+    return ("\n".join(lines) + "\n",)
+
+
+def _render_rows(fmt: str, head: dict, name: str, csv_head: str, rows) -> Iterable[str]:
+    """The output of a range command, one chunk per row of `rows`, each a list
+    of lines in the format: for json the `"key": "value"` lines of the object
+    `name`, after the int values of `head`; for csv the lines after the
+    `csv_head` line; for text every line.  The chunks join to the bytes of the
+    whole string (for json, json.dumps of the payload with indent=2, and a
+    newline) without building it.  Keys and values are digits, signs, commas
+    and slashes, so no json line needs an escape."""
+    if fmt == "json":
+        import json
+
+        # head without its closing "\n}", then the object's opening line
+        start, sep, end = json.dumps(head, indent=2)[:-2] + f',\n  "{name}": {{\n', ",\n", "\n  }\n}\n"
+    else:
+        start, sep, end = f"{csv_head}\n" if fmt == "csv" else "", "\n", "\n"
+    yield start
+    for i, lines in enumerate(rows):
+        yield (sep if i else "") + sep.join(lines)
+    yield end
 
 
 def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -150,7 +173,7 @@ _NMAX = ("--nmax", dict(type=int, required=True))
 
 
 @_command("field-info", "ring, discriminant, and unit data", d=True)
-def _run_field_info(args: argparse.Namespace) -> tuple[int, str]:
+def _run_field_info(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     field = args.field
     basis = "(1 + sqrt(d))/2" if field.s0 else "sqrt(d)"
     payload = {
@@ -182,7 +205,7 @@ def _run_field_info(args: argparse.Namespace) -> tuple[int, str]:
     ("--a", dict(required=True, help="first circle class x,y")),
     ("--b", dict(required=True, help="second circle class u,v")),
 )
-def _run_sol_link(args: argparse.Namespace) -> tuple[int, str]:
+def _run_sol_link(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import sol
 
     f = _parse_ints(args.f, 4, "--f")
@@ -203,7 +226,7 @@ _CAP_PROBES = ((1, 0), (0, 1), (1, 1), (2, 1), (1, -2))
     _GLUING,
     ("--a", dict(required=True, help="circle class x,y")),
 )
-def _run_sol_cap(args: argparse.Namespace) -> tuple[int, str]:
+def _run_sol_cap(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from fractions import Fraction
 
     from . import sol
@@ -251,7 +274,7 @@ def _run_sol_cap(args: argparse.Namespace) -> tuple[int, str]:
     ("--n", dict(type=int, required=True, help="cycle norm index")),
     d=True,
 )
-def _run_boundary(args: argparse.Namespace) -> tuple[int, str]:
+def _run_boundary(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import cycles
 
     _check_index("--n", args.n)
@@ -278,30 +301,31 @@ def _run_boundary(args: argparse.Namespace) -> tuple[int, str]:
 
 
 @_command("lk-table", "all pairwise boundary linking numbers up to nmax", _NMAX, d=True, tables=True)
-def _run_lk_table(args: argparse.Namespace) -> tuple[int, str]:
+def _run_lk_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import cycles
 
     if args.nmax > 0 and args.nmax * args.nmax > _CELLS_MAX:
         raise InputError(f"--nmax {args.nmax} gives {args.nmax * args.nmax} cells, more than {_CELLS_MAX}")
     _check_scan_budget(args.field, args.nmax)
     table = cycles.link_table(args.field, args.nmax)
-    entries = table.entries.items()
-    # up to 10^6 cells: the json entries are built for json only
-    cells = {f"{n},{m}": str(v) for (n, m), v in entries} if args.format == "json" else None
-    payload = {"d": table.d, "nmax": table.nmax, "n_det": table.n_det, "entries": cells}
-    lines = (f"Lk(C{n}, C{m}) = {v}" for (n, m), v in entries)
-    csv = itertools.chain(["n,m,value"], (f"{n},{m},{v}" for (n, m), v in entries))
-    return 0, _render(args.format, payload, lines, csv)
+    ns, row = range(1, table.nmax + 1), table.entries._row
+    line = {"json": '    "{},{}": "{}"', "csv": "{},{},{}", "text": "Lk(C{}, C{}) = {}"}[args.format].format
+    rows = ([line(n, m, v) for m, v in zip(ns, row(n))] for n in ns)
+    head = {"d": table.d, "nmax": table.nmax, "n_det": table.n_det}
+    return 0, _render_rows(args.format, head, "entries", "n,m,value", rows)
 
 
-def _render_qexp(fmt: str, q) -> str:
+# Coefficients of a q-expansion written per chunk.
+_COEFFS_PER_CHUNK = 1000
+
+
+def _render_qexp(fmt: str, q) -> Iterable[str]:
     """qexp and combine: the coefficients of q^1 .. q^nmax."""
-    ns = range(1, q.nmax + 1)
-    coeffs = {str(n): str(q.coeffs[n]) for n in ns} if fmt == "json" else None
-    payload = {"d": q.d, "m": q.m, "weight": q.weight, "nmax": q.nmax, "coeffs": coeffs}
-    lines = (f"q^{n}: {q.coeffs[n]}" for n in ns)
-    csv = itertools.chain(["n,value,tail_estimate"], (f"{n},{q.coeffs[n]},0" for n in ns))
-    return _render(fmt, payload, lines, csv)
+    line = {"json": '    "{}": "{}"', "csv": "{},{},0", "text": "q^{}: {}"}[fmt].format
+    step, top = _COEFFS_PER_CHUNK, q.nmax + 1
+    rows = ([line(n, q.coeffs[n]) for n in range(lo, min(lo + step, top))] for lo in range(1, top, step))
+    head = {"d": q.d, "m": q.m, "weight": q.weight, "nmax": q.nmax}
+    return _render_rows(fmt, head, "coeffs", "n,value,tail_estimate", rows)
 
 
 @_command(
@@ -312,7 +336,7 @@ def _render_qexp(fmt: str, q) -> str:
     d=True,
     tables=True,
 )
-def _run_qexp(args: argparse.Namespace) -> tuple[int, str]:
+def _run_qexp(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import qseries
 
     _check_scan_budget(args.field, args.nmax, args.m)
@@ -329,7 +353,7 @@ def _run_qexp(args: argparse.Namespace) -> tuple[int, str]:
     ("--n-cut", dict(type=int, default=20, dest="n_cut")),
     d=True,
 )
-def _run_w_eval(args: argparse.Namespace) -> tuple[int, str]:
+def _run_w_eval(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import qseries
 
     tau = parse_tau(args.tau)
@@ -363,7 +387,7 @@ def _run_w_eval(args: argparse.Namespace) -> tuple[int, str]:
     ("--k-range", dict(type=int, default=80, dest="k_range")),
     d=True,
 )
-def _run_ratio_test(args: argparse.Namespace) -> tuple[int, str]:
+def _run_ratio_test(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import qseries
 
     # the library's check, before the budget charges k_range
@@ -397,7 +421,7 @@ def _run_ratio_test(args: argparse.Namespace) -> tuple[int, str]:
     d=True,
     tables=True,
 )
-def _run_combine(args: argparse.Namespace) -> tuple[int, str]:
+def _run_combine(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import qseries
 
     try:
@@ -414,7 +438,7 @@ def _run_combine(args: argparse.Namespace) -> tuple[int, str]:
 
 
 @_command("self-test", "run all randomized cross-check suites", ("--seed", dict(type=int, default=0)))
-def _run_self_test(args: argparse.Namespace) -> tuple[int, str]:
+def _run_self_test(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import selftest
 
     verdicts = selftest.run_suites(args.seed)
@@ -450,7 +474,7 @@ def main(argv=None) -> int:
             from .qfield import make_field
 
             args.field = make_field(args.d)
-        code, text = args.run(args)
+        code, chunks = args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -460,12 +484,12 @@ def main(argv=None) -> int:
     try:
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         elif sys.stdout is None:  # started with stdout closed
             raise OSError("stdout is closed")
         else:
             # a flush here reports a full or broken stdout, not one at exit
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

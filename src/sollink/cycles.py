@@ -10,15 +10,15 @@ O_K.  Class reps are integers of the field, so the sums here run on their
 int coordinates: multiplication by eps' is the matrix field.gluing, by
 (eps - 1)' is gluing - I, and each returned value is one Fraction over
 field.n_det = N(eps - 1).  Linking numbers come from per-norm sums of the
-class reps (_link_cells).  A range of norms 1..nmax reads its reps from one
-sweep of a fundamental domain (qfield._norm_reps).  A single norm runs its
-own b-scan: boundary_components and a column m > nmax through
-enumerate_norm_classes, and the closed form link_boundary_closed through
-qfield._norm_coords, the same scan's int rep coordinates, with no element
-built.  Only norms with classes give a nonzero row or column, so a table's
-cells are filled in for those norms alone, on an all-zero template row, and
-assembled into the dict in one pass.  The component-pair double sum the
-cells reduce to is the test oracle tests/oracles.link_boundary.
+class reps.  A range of norms 1..nmax reads its reps from one sweep of a
+fundamental domain (qfield._norm_reps).  A single norm runs its own b-scan:
+boundary_components and a column m > nmax through enumerate_norm_classes, and
+the closed form link_boundary_closed through qfield._norm_coords, the same
+scan's int rep coordinates, with no element built.  The linking form has rank
+2, so a table is a read-only view (_LinkCells) that keeps two int pairs per
+norm with classes and computes each cell when it is read.  The
+component-pair double sum the cells reduce to is the test oracle
+tests/oracles.link_boundary.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, _check_index
+from .errors import ConsistencyError, _check_index, _is_int
 from .qfield import FieldData, NormClass, QuadElem, _norm_coords, _norm_reps, enumerate_norm_classes
 
 
@@ -64,7 +65,7 @@ def _rep_sum(reps) -> tuple[int, int]:
     return sum(a for a, _ in reps), sum(b for _, b in reps)
 
 
-def _link_numbers(field: FieldData, nmax: int, ms) -> dict:
+def _link_numbers(field: FieldData, nmax: int, ms) -> _LinkCells:
     """Lk(C_n, C_m) for n = 1..nmax and m in ms (ascending), keyed (n, m) in
     that order, from the rep sums of one sweep (qfield._norm_reps), and of its
     own norm-class scan for a column m > nmax."""
@@ -72,52 +73,74 @@ def _link_numbers(field: FieldData, nmax: int, ms) -> dict:
     for m in ms:
         if m > nmax:
             sums[m] = _rep_sum([(cls.rep.a, cls.rep.b) for cls in enumerate_norm_classes(field, m)])
-    return _link_cells(field, sums, range(1, nmax + 1), ms)
+    return _LinkCells(field, sums, range(1, nmax + 1), ms)
 
 
-def _link_cells(field: FieldData, sums: dict, ns, ms) -> dict:
-    """Lk(C_n, C_m) for n in ns and m in ms, keyed (n, m) in that order, from
-    sums, the rep sums S_k = (sum of a, sum of b) of each norm k in ns and ms
-    that has classes; a norm without a key has none, and S_k = 0.
+class _LinkCells(Mapping):
+    """Lk(C_n, C_m) for n in ns and m in ms (ascending), keyed (n, m) with n
+    the outer index, read-only, computed on access from sums, the rep sums
+    S_k = (sum of a, sum of b) of each norm k in ns and ms that has classes;
+    a norm without a key has none, and S_k = 0.
 
     The component-pair double sum of 2 * min'(mu) * min'(nu) * <g Jmu, Jnu>
     (tests/oracles.link_boundary, with g division by eps - 1) is bilinear and
     multiplicity * fiber label is the class rep, so
     Lk(n, m) = 2*<S_n/(eps - 1), S_m> with S_k the sum of the reduced norm-k
     reps.  With S_n*(eps - 1)' = p + q*w and S_m = a + b*w the cell is
-    2*(q*a - p*b)/N(eps - 1), all integers.
-
-    A norm without classes zeroes its whole row and column, so the cells are
-    assembled row by row from one all-zero template row: a row without classes
-    is the template itself, and a row with classes is a copy of it with only
-    the columns of norms with classes filled in.  Every cell has the
-    denominator n_det, so its numerator fixes its value, and each distinct
-    value is built once per call.  The keys come from itertools.product and
-    the values from the chained rows, so the dict is built in one pass.
+    2*(q*a - p*b)/N(eps - 1), all integers.  The form has rank 2, so the view
+    keeps (p, q) for each row norm with classes and 2*(a, b) for each such
+    column norm: O(nmax) ints for nmax^2 cells.  A norm without classes zeroes
+    its whole row and column.  Every cell has the denominator n_det, so its
+    numerator fixes its value, and each distinct value is one Fraction per
+    view.  Keys are pairs of ints; equality is the Mapping's, cell by cell.
     """
-    (g00, g01), (g10, g11) = field.gluing
-    n_det = field.n_det
-    zero = Fraction(0, n_det)
-    template = [zero] * len(ms)
-    values = {0: zero}
-    # the columns that can be nonzero, by their index in ms, with 2*S_m
-    cols = [(j, 2 * sums[m][0], 2 * sums[m][1]) for j, m in enumerate(ms) if m in sums]
-    rows = []
-    for n in ns:
-        if n not in sums:
-            rows.append(template)
-            continue
-        x0, x1 = sums[n]
-        p, q = g00 * x0 + g01 * x1 - x0, g10 * x0 + g11 * x1 - x1  # (gluing - I) S_n
-        row = template.copy()
-        for j, a2, b2 in cols:
-            num = q * a2 - p * b2
-            value = values.get(num)
-            if value is None:
-                value = values[num] = Fraction(num, n_det)
-            row[j] = value
-        rows.append(row)
-    return dict(zip(itertools.product(ns, ms), itertools.chain.from_iterable(rows)))
+
+    __slots__ = ("_ns", "_ms", "_n_det", "_zero", "_values", "_rows", "_cols")
+
+    def __init__(self, field: FieldData, sums: dict, ns, ms):
+        (g00, g01), (g10, g11) = field.gluing
+        self._ns, self._ms, self._n_det = ns, ms, field.n_det
+        self._zero = Fraction(0, field.n_det)
+        self._values = {0: self._zero}  # numerator -> its shared Fraction
+        # (gluing - I) S_n per row norm, and (index in ms, 2*S_m) per column norm
+        self._rows = {n: (g00 * a + g01 * b - a, g10 * a + g11 * b - b) for n, (a, b) in sums.items() if n in ns}
+        self._cols = {m: (ms.index(m), 2 * a, 2 * b) for m, (a, b) in sums.items() if m in ms}
+
+    def _cell(self, row: tuple, col: tuple) -> Fraction:
+        (p, q), (_, a2, b2) = row, col
+        num = q * a2 - p * b2
+        value = self._values.get(num)
+        if value is None:
+            value = self._values[num] = Fraction(num, self._n_det)
+        return value
+
+    def _row(self, n: int) -> list:
+        """The cells (n, m) for m in ms, in order; n must be in ns."""
+        cells = [self._zero] * len(self._ms)
+        row = self._rows.get(n)
+        if row is not None:
+            for col in self._cols.values():
+                cells[col[0]] = self._cell(row, col)
+        return cells
+
+    def __getitem__(self, key) -> Fraction:
+        try:
+            n, m = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if not (_is_int(n) and _is_int(m) and n in self._ns and m in self._ms):
+            raise KeyError(key)
+        row, col = self._rows.get(n), self._cols.get(m)
+        return self._zero if row is None or col is None else self._cell(row, col)
+
+    def __iter__(self):
+        return itertools.product(self._ns, self._ms)
+
+    def __len__(self) -> int:
+        return len(self._ns) * len(self._ms)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 @functools.cache
@@ -162,7 +185,7 @@ class LinkTable:
     d: int
     nmax: int
     n_det: int
-    entries: dict  # (n, m) -> Fraction
+    entries: Mapping  # (n, m) -> Fraction, a read-only view (_LinkCells)
 
 
 def link_table(field: FieldData, nmax: int) -> LinkTable:

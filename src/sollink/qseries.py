@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import InputError, _check_index, _is_int
 from .qfield import FieldData, QuadElem, _norm_reps, enumerate_norm_classes
-from .cycles import _link_cells, _link_numbers, _rep_sum
+from .cycles import _link_numbers, _LinkCells, _rep_sum
 from .special_fn import beta_scaled
 
 
@@ -173,7 +173,7 @@ def holomorphic_ratio_test(field: FieldData, nmax: int, k_range: int) -> RatioRe
     ns = range(1, nmax + 1)
     # one sweep, shared by the Lk column and the orbit-minimum sums
     reps = _norm_reps(field, nmax)
-    column = _link_cells(field, {n: _rep_sum(group) for n, group in reps.items()}, ns, (1,))
+    column = _LinkCells(field, {n: _rep_sum(group) for n, group in reps.items()}, ns, (1,))
     for n in ns:
         lk = column[n, 1]
         mn = _orbit_min_sum(field, reps.get(n, ()), k_range)

@@ -7,8 +7,11 @@ class or lattice point is a QuadElem, tested, embedded and normed on its own.
 The orbit-minimum coefficient evaluates every term once per sign, over the
 library's classes, and eval_W's holomorphic half recomputes it per call.
 The cusp gluing is the matrix of the QuadElem products eps'*1 and eps'*w.
-Boundary linking numbers come from the component-pair double sum, and norm
-solutions from an unreduced box search.  Caps come with Fraction vertices and
+Boundary linking numbers come from the component-pair double sum, and a whole
+table from the dict builder that filled every cell before tables became views
+(link_cells_reference).  The CLI's range commands have their whole-string
+renderer here (render_reference), the byte oracle of their streamed output.
+Norm solutions come from an unreduced box search.  Caps come with Fraction vertices and
 shoelace areas, and their crossing count from the lattice points of a
 half-open parallelogram.  Hurwitz class numbers count reduced binary quadratic
 forms, for the Hirzebruch-Zagier identity and series and for the class-number
@@ -22,6 +25,8 @@ defining identities; no library route reads them.
 from __future__ import annotations
 
 import cmath
+import itertools
+import json
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -29,7 +34,7 @@ from typing import NamedTuple
 from sollink import sol
 from sollink.cycles import boundary_components, link_boundary_closed
 from sollink.errors import ConsistencyError, InputError
-from sollink.qfield import FieldData, NormClass, QuadElem, enumerate_norm_classes
+from sollink.qfield import FieldData, NormClass, QuadElem, _norm_reps, enumerate_norm_classes
 from sollink.special_fn import beta_scaled
 
 _B_CAP = 10**6  # d=94 needs b = 221064; nothing below 100 needs more
@@ -189,7 +194,7 @@ def link_boundary(field: FieldData, n, m) -> Fraction:
     with J the primitive totally positive direction, g division by (eps - 1),
     and a global factor 2 for the two signs of each class.  Same-fiber pairs
     (proportional classes) inherit the positive push-off convention of
-    sol.link_fiber.  This is the reference route; tables use _link_numbers.
+    sol.link_fiber.  This is the reference route; tables use cycles._LinkCells.
     The pairing is linear, so <g Jmu, Jnu> = <Jmu*(eps - 1)', Jnu>/N(eps - 1).
     """
     comps_n, comps_m = boundary_components(field, n), boundary_components(field, m)
@@ -202,6 +207,73 @@ def link_boundary(field: FieldData, n, m) -> Fraction:
             term = Fraction(symplectic_pairing(g_dir, cm.fiber_label), den)
             total += 2 * cn.multiplicity * cm.multiplicity * term
     return total
+
+
+def link_cells_reference(field: FieldData, sums: dict, ns, ms) -> dict:
+    """The dict of Lk(C_n, C_m) for n in ns and m in ms, keyed (n, m) in that
+    order, from the rep sums S_k = (sum of a, sum of b) of the norms with
+    classes in sums, as tables were built before cycles._LinkCells: an
+    all-zero template row, copied for a row with classes and filled in at the
+    columns with classes, one Fraction per distinct numerator, and the dict
+    assembled in one pass."""
+    (g00, g01), (g10, g11) = field.gluing
+    n_det = field.n_det
+    zero = Fraction(0, n_det)
+    template = [zero] * len(ms)
+    values = {0: zero}
+    cols = [(j, 2 * sums[m][0], 2 * sums[m][1]) for j, m in enumerate(ms) if m in sums]
+    rows = []
+    for n in ns:
+        if n not in sums:
+            rows.append(template)
+            continue
+        x0, x1 = sums[n]
+        p, q = g00 * x0 + g01 * x1 - x0, g10 * x0 + g11 * x1 - x1  # (gluing - I) S_n
+        row = template.copy()
+        for j, a2, b2 in cols:
+            num = q * a2 - p * b2
+            value = values.get(num)
+            if value is None:
+                value = values[num] = Fraction(num, n_det)
+            row[j] = value
+        rows.append(row)
+    return dict(zip(itertools.product(ns, ms), itertools.chain.from_iterable(rows)))
+
+
+def link_table_reference(field: FieldData, nmax: int) -> dict:
+    """link_cells_reference over n, m <= nmax, from the rep sums of one sweep."""
+    sums = {n: (sum(a for a, _ in reps), sum(b for _, b in reps)) for n, reps in _norm_reps(field, nmax).items()}
+    ns = range(1, nmax + 1)
+    return link_cells_reference(field, sums, ns, ns)
+
+
+def render_reference(fmt: str, payload, lines, csv=()) -> str:
+    """A CLI output as one string: `payload` as indented JSON for --format
+    json, the `csv` lines for --format csv, else `lines`, one a line."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    return "\n".join(csv if fmt == "csv" else lines) + "\n"
+
+
+def lk_table_output_reference(table, fmt: str) -> str:
+    """The bytes `sollink lk-table` prints for `table` in format fmt."""
+    entries = dict(table.entries).items()
+    cells = {f"{n},{m}": str(v) for (n, m), v in entries}
+    payload = {"d": table.d, "nmax": table.nmax, "n_det": table.n_det, "entries": cells}
+    lines = [f"Lk(C{n}, C{m}) = {v}" for (n, m), v in entries]
+    csv = ["n,m,value"] + [f"{n},{m},{v}" for (n, m), v in entries]
+    return render_reference(fmt, payload, lines, csv)
+
+
+def qexp_output_reference(q, fmt: str) -> str:
+    """The bytes `sollink qexp` and `sollink combine` print for the
+    q-expansion q in format fmt."""
+    ns = range(1, q.nmax + 1)
+    coeffs = {str(n): str(q.coeffs[n]) for n in ns}
+    payload = {"d": q.d, "m": q.m, "weight": q.weight, "nmax": q.nmax, "coeffs": coeffs}
+    lines = [f"q^{n}: {q.coeffs[n]}" for n in ns]
+    csv = ["n,value,tail_estimate"] + [f"{n},{q.coeffs[n]},0" for n in ns]
+    return render_reference(fmt, payload, lines, csv)
 
 
 def link_boundary_closed_reference(field: FieldData, n) -> Fraction:

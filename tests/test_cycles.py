@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from oracles import (
     kronecker,
     link_boundary,
     link_boundary_closed_reference,
+    link_table_reference,
     symplectic_pairing,
 )
 
@@ -255,16 +257,56 @@ def test_link_table_matches_pointwise(d):
 
 @pytest.mark.parametrize("d", [5, 13, 17])
 def test_link_table_cells(d):
-    # the cells are filled in only for norms with classes, on an all-zero
-    # template row, and share one Fraction per distinct value; each must still
-    # be the double sum, a Fraction, and in row-major order, also where rows
-    # without classes dominate (12 of the 40 rows at d = 5 have classes)
+    # the view computes a cell only where both norms have classes and shares
+    # one Fraction per distinct value; each must still be the double sum, a
+    # Fraction, and in row-major order, also where rows without classes
+    # dominate (12 of the 40 rows at d = 5 have classes)
     f = field(d)
     t = link_table(f, 40)
     assert list(t.entries) == [(n, m) for n in range(1, 41) for m in range(1, 41)]
     for (n, m), value in t.entries.items():
         assert type(value) is Fraction
         assert value == link_boundary(f, n, m), (n, m)
+
+
+@pytest.mark.parametrize("nmax", [1, 7, 30])
+@pytest.mark.parametrize("d", [2, 5, 13, 94])
+def test_link_table_entries_are_a_read_only_view(d, nmax):
+    f = field(d)
+    entries = link_table(f, nmax).entries
+    assert len(entries) == nmax * nmax
+    assert list(entries) == [(n, m) for n in range(1, nmax + 1) for m in range(1, nmax + 1)]
+    for key in [(0, 1), (nmax + 1, 1), (1, nmax + 1), "1,1"]:
+        assert key not in entries
+        with pytest.raises(KeyError):
+            entries[key]
+    with pytest.raises(TypeError):
+        entries[1, 1] = Fraction(0)
+    shared = {}
+    for value in entries.values():
+        assert shared.setdefault(value, value) is value
+    reference = link_table_reference(f, nmax)
+    assert dict(entries) == reference
+    assert entries == reference and reference == entries
+    with pytest.raises(TypeError, match="_LinkCells"):
+        hash(link_table(f, nmax))
+
+
+def test_link_table_repr_is_the_dict_repr():
+    assert repr(link_table(field(5), 3)) == (
+        "LinkTable(d=5, nmax=3, n_det=-1, entries={(1, 1): Fraction(2, 1), (1, 2): Fraction(0, 1), "
+        "(1, 3): Fraction(0, 1), (2, 1): Fraction(0, 1), (2, 2): Fraction(0, 1), (2, 3): Fraction(0, 1), "
+        "(3, 1): Fraction(0, 1), (3, 2): Fraction(0, 1), (3, 3): Fraction(0, 1)})"
+    )
+
+
+def test_link_table_of_a_hundred_million_cells():
+    # the view keeps two int pairs per norm with classes, not nmax^2 cells
+    f = field(5)
+    start = time.perf_counter()
+    t = link_table(f, 10**4)
+    assert time.perf_counter() - start < 0.5
+    assert t.entries[9973, 1] == link_boundary_closed(f, 9973)
 
 
 @pytest.mark.parametrize("bad", ["4", float("nan"), 2.5, Fraction(2), Fraction(1, 2)])

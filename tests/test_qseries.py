@@ -245,10 +245,10 @@ def test_lk_qexpansion_values(field5):
 
 
 def test_qexpansion_csv_golden(field5):
-    # the csv rendering of a q-expansion lives in the CLI
+    # the csv rendering of a q-expansion lives in the CLI, as streamed chunks
     from sollink.cli import _render_qexp
 
-    assert _render_qexp("csv", lk_qexpansion(field5, 1, 5)) == (
+    assert "".join(_render_qexp("csv", lk_qexpansion(field5, 1, 5))) == (
         "n,value,tail_estimate\n1,2,0\n2,0,0\n3,0,0\n4,4,0\n5,4,0\n"
     )
 
