@@ -302,15 +302,17 @@ def _run_boundary(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 @_command("lk-table", "all pairwise boundary linking numbers up to nmax", _NMAX, d=True, tables=True)
 def _run_lk_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    import itertools
+
     from . import cycles
 
     if args.nmax > 0 and args.nmax * args.nmax > _CELLS_MAX:
         raise InputError(f"--nmax {args.nmax} gives {args.nmax * args.nmax} cells, more than {_CELLS_MAX}")
     _check_scan_budget(args.field, args.nmax)
     table = cycles.link_table(args.field, args.nmax)
-    ns, row = range(1, table.nmax + 1), table.entries._row
     line = {"json": '    "{},{}": "{}"', "csv": "{},{},{}", "text": "Lk(C{}, C{}) = {}"}[args.format].format
-    rows = ([line(n, m, v) for m, v in zip(ns, row(n))] for n in ns)
+    cells = iter(table.entries.items())  # in key order, n the outer index
+    rows = ([line(n, m, v) for (n, m), v in itertools.islice(cells, table.nmax)] for _ in range(table.nmax))
     head = {"d": table.d, "nmax": table.nmax, "n_det": table.n_det}
     return 0, _render_rows(args.format, head, "entries", "n,m,value", rows)
 

@@ -26,7 +26,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Mapping
+import operator
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,7 +93,10 @@ class _LinkCells(Mapping):
     column norm: O(nmax) ints for nmax^2 cells.  A norm without classes zeroes
     its whole row and column.  Every cell has the denominator n_det, so its
     numerator fixes its value, and each distinct value is one Fraction per
-    view.  Keys are pairs of ints; equality is the Mapping's, cell by cell.
+    view.  Keys are pairs of ints.  Equality is the Mapping's, cell by cell:
+    between two views over the same keys and n_det it compares numerators,
+    row by row, and builds no Fraction.  items(), values() and so == with
+    any other Mapping read the cells row by row.
     """
 
     __slots__ = ("_ns", "_ms", "_n_det", "_zero", "_values", "_rows", "_cols")
@@ -106,22 +110,28 @@ class _LinkCells(Mapping):
         self._rows = {n: (g00 * a + g01 * b - a, g10 * a + g11 * b - b) for n, (a, b) in sums.items() if n in ns}
         self._cols = {m: (ms.index(m), 2 * a, 2 * b) for m, (a, b) in sums.items() if m in ms}
 
-    def _cell(self, row: tuple, col: tuple) -> Fraction:
-        (p, q), (_, a2, b2) = row, col
-        num = q * a2 - p * b2
+    def _value(self, num: int) -> Fraction:
+        """The shared Fraction num/n_det."""
         value = self._values.get(num)
         if value is None:
             value = self._values[num] = Fraction(num, self._n_det)
         return value
 
-    def _row(self, n: int) -> list:
-        """The cells (n, m) for m in ms, in order; n must be in ns."""
-        cells = [self._zero] * len(self._ms)
+    def _nums(self, n: int) -> list:
+        """The numerators of the cells (n, m) for m in ms, in order; n must be in ns."""
+        nums = [0] * len(self._ms)
         row = self._rows.get(n)
         if row is not None:
-            for col in self._cols.values():
-                cells[col[0]] = self._cell(row, col)
-        return cells
+            p, q = row
+            for j, a2, b2 in self._cols.values():
+                nums[j] = q * a2 - p * b2
+        return nums
+
+    def _row(self, n: int) -> list:
+        """The cells (n, m) for m in ms, in order; n must be in ns."""
+        if n not in self._rows:
+            return [self._zero] * len(self._ms)
+        return list(map(self._value, self._nums(n)))
 
     def __getitem__(self, key) -> Fraction:
         try:
@@ -131,7 +141,17 @@ class _LinkCells(Mapping):
         if not (_is_int(n) and _is_int(m) and n in self._ns and m in self._ms):
             raise KeyError(key)
         row, col = self._rows.get(n), self._cols.get(m)
-        return self._zero if row is None or col is None else self._cell(row, col)
+        if row is None or col is None:
+            return self._zero
+        (p, q), (_, a2, b2) = row, col
+        return self._value(q * a2 - p * b2)
+
+    def __eq__(self, other) -> bool:
+        # Over the same keys and denominator, two cells are equal iff their
+        # numerators are, so the rows compare as int lists.
+        if isinstance(other, _LinkCells) and (self._ns, self._ms, self._n_det) == (other._ns, other._ms, other._n_det):
+            return all(map(operator.eq, map(self._nums, self._ns), map(other._nums, other._ns)))
+        return super().__eq__(other)
 
     def __iter__(self):
         return itertools.product(self._ns, self._ms)
@@ -139,8 +159,44 @@ class _LinkCells(Mapping):
     def __len__(self) -> int:
         return len(self._ns) * len(self._ms)
 
+    def _cells(self):
+        """Every cell in key order, one row at a time."""
+        return itertools.chain.from_iterable(map(self._row, self._ns))
+
+    def items(self) -> ItemsView:
+        return _RowItems(self)
+
+    def values(self) -> ValuesView:
+        return _RowValues(self)
+
     def __repr__(self) -> str:
-        return repr(dict(self))
+        if len(self) > _REPR_CELLS_MAX:
+            return f"<{type(self).__name__} of {len(self._ns)} x {len(self._ms)} cells>"
+        return repr(dict(self.items()))
+
+
+# The largest view whose repr is the dict's; a larger one gives a summary,
+# so a failing assertion or a log line does not build every cell.
+_REPR_CELLS_MAX = 10**4
+
+
+class _RowItems(ItemsView):
+    """A _LinkCells' items, read one row at a time; Mapping.__eq__ and
+    dict(view.items()) iterate these."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._cells())
+
+
+class _RowValues(ValuesView):
+    """A _LinkCells' values, read one row at a time."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._cells()
 
 
 @functools.cache
@@ -180,7 +236,15 @@ def link_boundary_closed(field: FieldData, n) -> Fraction:
 @dataclass(frozen=True)
 class LinkTable:
     """Lk(C_n, C_m) over Q(sqrt(d)) for all n, m <= nmax, keyed (n, m) with n
-    the outer index; n_det = 2 - Tr(eps) is the gluing's N_det."""
+    the outer index; n_det = 2 - Tr(eps) is the gluing's N_det.
+
+    entries computes its nmax^2 cells when they are read, so link_table is
+    cheap at any nmax but reading every cell is not.  items() and values()
+    read a row at a time, so dict(entries.items()) is the fast copy;
+    dict(entries) reads key by key.  == between two views over the same keys
+    and n_det compares int numerators; against any other Mapping it reads
+    every cell.  Its repr is the dict's up to 10^4 cells and a summary above.
+    """
 
     d: int
     nmax: int

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, formats, exit codes."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -1079,6 +1080,18 @@ def test_streamed_output_matches_the_whole_string(tmp_path, capsys, command, nma
         assert out == ""
         out = (tmp_path / "out").read_bytes().decode("utf-8")
     assert out == expected
+
+
+def test_lk_table_renders_a_plain_dict_table(monkeypatch, capsys):
+    # lk-table reads its cells through entries.items(), so a LinkTable whose
+    # entries is a plain dict renders the same bytes
+    code, expected, _ = run(capsys, "lk-table", "--d", "13", "--nmax", "6", "--format", "text")
+    def as_dict(f, nmax):
+        table = link_table(f, nmax)
+        return dataclasses.replace(table, entries=dict(table.entries))
+
+    monkeypatch.setattr("sollink.cycles.link_table", as_dict)
+    assert run(capsys, "lk-table", "--d", "13", "--nmax", "6", "--format", "text") == (code, expected, "")
 
 
 class _Discard(io.TextIOBase):

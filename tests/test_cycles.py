@@ -4,6 +4,7 @@ import cmath
 import math
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -288,6 +289,12 @@ def test_link_table_entries_are_a_read_only_view(d, nmax):
     reference = link_table_reference(f, nmax)
     assert dict(entries) == reference
     assert entries == reference and reference == entries
+    # items() and values() read row by row, in key order
+    assert list(entries.items()) == list(reference.items())
+    assert list(entries.values()) == list(reference.values())
+    assert len(entries.items()) == len(entries.values()) == nmax * nmax
+    assert ((1, 1), reference[1, 1]) in entries.items() and reference[1, 1] in entries.values()
+    assert entries == link_table(f, nmax).entries and entries != link_table(f, nmax + 1).entries
     with pytest.raises(TypeError, match="_LinkCells"):
         hash(link_table(f, nmax))
 
@@ -298,6 +305,37 @@ def test_link_table_repr_is_the_dict_repr():
         "(1, 3): Fraction(0, 1), (2, 1): Fraction(0, 1), (2, 2): Fraction(0, 1), (2, 3): Fraction(0, 1), "
         "(3, 1): Fraction(0, 1), (3, 2): Fraction(0, 1), (3, 3): Fraction(0, 1)})"
     )
+
+
+def test_link_table_repr_summarises_a_large_view():
+    f = field(5)
+    assert repr(link_table(f, 100).entries) == repr(link_table_reference(f, 100))
+    assert repr(link_table(f, 101).entries) == "<_LinkCells of 101 x 101 cells>"
+
+
+def test_views_compare_as_their_cells():
+    # between two views over the same keys and n_det == compares numerators;
+    # it must agree with the dict equality of their cells
+    f = field(13)
+    ns = range(1, 6)
+    sums = {1: (1, 0), 3: (4, -2), 4: (0, 3)}
+    cases = [
+        ({n: (-a, -b) for n, (a, b) in sums.items()}, True),  # S and -S give identical cells
+        ({**sums, 5: (0, 0)}, True),  # a zero sum zeroes its row and column, as no key does
+        ({**sums, 3: (4, -1)}, False),
+        ({1: (1, 0)}, False),
+    ]
+    view = cycles._LinkCells(f, sums, ns, ns)
+    for other_sums, equal in cases:
+        other = cycles._LinkCells(f, other_sums, ns, ns)
+        assert (view == other) is (other == view) is equal
+        assert (dict(view.items()) == dict(other.items())) is equal
+    # the same numerators over another denominator are other cells
+    halved = cycles._LinkCells(SimpleNamespace(gluing=f.gluing, n_det=2 * f.n_det), sums, ns, ns)
+    assert view != halved and dict(view.items()) != dict(halved.items())
+    # other keys: the Mapping's comparison, never equal
+    assert view != cycles._LinkCells(f, sums, ns, range(1, 5))
+    assert view != cycles._LinkCells(f, sums, range(2, 6), ns)
 
 
 def test_link_table_of_a_hundred_million_cells():
