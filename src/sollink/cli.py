@@ -13,12 +13,13 @@ reported before the handler checks its own flags.  A handler runs every
 check and builds its result before it returns its exit code and its output as
 an iterable of text chunks, so a failing call prints nothing.  It renders
 through _render, or for a range command through _render_rows, which formats
-one row of cells per chunk; both load json only for --format json.
+a fixed number of lines per chunk; both load json only for --format json.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from collections.abc import Iterable
 
@@ -121,11 +122,15 @@ def _render(fmt: str, payload, lines) -> tuple[str]:
     return ("\n".join(lines) + "\n",)
 
 
-def _render_rows(fmt: str, head: dict, name: str, csv_head: str, rows) -> Iterable[str]:
-    """The output of a range command, one chunk per row of `rows`, each a list
-    of lines in the format: for json the `"key": "value"` lines of the object
-    `name`, after the int values of `head`; for csv the lines after the
-    `csv_head` line; for text every line.  The chunks join to the bytes of the
+# Lines of a range command's output written per chunk.
+_LINES_PER_CHUNK = 1000
+
+
+def _render_rows(fmt: str, head: dict, name: str, csv_head: str, lines) -> Iterable[str]:
+    """The output of a range command, _LINES_PER_CHUNK of `lines` per chunk,
+    each line in the format: for json a `"key": "value"` line of the object
+    `name`, after the int values of `head`; for csv a line after the
+    `csv_head` line; for text a line.  The chunks join to the bytes of the
     whole string (for json, json.dumps of the payload with indent=2, and a
     newline) without building it.  Keys and values are digits, signs, commas
     and slashes, so no json line needs an escape."""
@@ -137,8 +142,10 @@ def _render_rows(fmt: str, head: dict, name: str, csv_head: str, rows) -> Iterab
     else:
         start, sep, end = f"{csv_head}\n" if fmt == "csv" else "", "\n", "\n"
     yield start
-    for i, lines in enumerate(rows):
-        yield (sep if i else "") + sep.join(lines)
+    lines, before = iter(lines), ""
+    while chunk := list(itertools.islice(lines, _LINES_PER_CHUNK)):
+        yield before + sep.join(chunk)
+        before = sep
     yield end
 
 
@@ -302,8 +309,6 @@ def _run_boundary(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 @_command("lk-table", "all pairwise boundary linking numbers up to nmax", _NMAX, d=True, tables=True)
 def _run_lk_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    import itertools
-
     from . import cycles
 
     if args.nmax > 0 and args.nmax * args.nmax > _CELLS_MAX:
@@ -311,23 +316,17 @@ def _run_lk_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     _check_scan_budget(args.field, args.nmax)
     table = cycles.link_table(args.field, args.nmax)
     line = {"json": '    "{},{}": "{}"', "csv": "{},{},{}", "text": "Lk(C{}, C{}) = {}"}[args.format].format
-    cells = iter(table.entries.items())  # in key order, n the outer index
-    rows = ([line(n, m, v) for (n, m), v in itertools.islice(cells, table.nmax)] for _ in range(table.nmax))
+    lines = (line(n, m, v) for (n, m), v in table.entries.items())  # in key order, n the outer index
     head = {"d": table.d, "nmax": table.nmax, "n_det": table.n_det}
-    return 0, _render_rows(args.format, head, "entries", "n,m,value", rows)
-
-
-# Coefficients of a q-expansion written per chunk.
-_COEFFS_PER_CHUNK = 1000
+    return 0, _render_rows(args.format, head, "entries", "n,m,value", lines)
 
 
 def _render_qexp(fmt: str, q) -> Iterable[str]:
     """qexp and combine: the coefficients of q^1 .. q^nmax."""
     line = {"json": '    "{}": "{}"', "csv": "{},{},0", "text": "q^{}: {}"}[fmt].format
-    step, top = _COEFFS_PER_CHUNK, q.nmax + 1
-    rows = ([line(n, q.coeffs[n]) for n in range(lo, min(lo + step, top))] for lo in range(1, top, step))
+    lines = (line(n, q.coeffs[n]) for n in range(1, q.nmax + 1))
     head = {"d": q.d, "m": q.m, "weight": q.weight, "nmax": q.nmax}
-    return _render_rows(fmt, head, "coeffs", "n,value,tail_estimate", rows)
+    return _render_rows(fmt, head, "coeffs", "n,value,tail_estimate", lines)
 
 
 @_command(
@@ -456,6 +455,14 @@ def _run_self_test(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     return (0 if passed == len(verdicts) else 1), _render(args.format, payload, lines)
 
 
+def _print_error(line: str) -> None:
+    """Print line to stderr; one that cannot take it loses it, not the exit code."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     argv = _join_signed_values(sys.argv[1:] if argv is None else argv)
     # a call that names its subcommand first builds only that subparser; any
@@ -478,10 +485,10 @@ def main(argv=None) -> int:
             args.field = make_field(args.d)
         code, chunks = args.run(args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(f"error: {exc}")
         return 2
     except ConsistencyError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
+        _print_error(f"inconsistency: {exc}")
         return 1
     try:
         if args.output:
@@ -494,7 +501,7 @@ def main(argv=None) -> int:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _print_error(f"error: cannot write output: {exc}")
         return 2
     return code
 

@@ -10,15 +10,15 @@ O_K.  Class reps are integers of the field, so the sums here run on their
 int coordinates: multiplication by eps' is the matrix field.gluing, by
 (eps - 1)' is gluing - I, and each returned value is one Fraction over
 field.n_det = N(eps - 1).  Linking numbers come from per-norm sums of the
-class reps.  A range of norms 1..nmax reads its reps from one sweep of a
-fundamental domain (qfield._norm_reps).  A single norm runs its own b-scan:
-boundary_components and a column m > nmax through enumerate_norm_classes, and
-the closed form link_boundary_closed through qfield._norm_coords, the same
-scan's int rep coordinates, with no element built.  The linking form has rank
-2, so a table is a read-only view (_LinkCells) that keeps two int pairs per
-norm with classes and computes each cell when it is read.  The
-component-pair double sum the cells reduce to is the test oracle
-tests/oracles.link_boundary.
+class reps, and one constructor builds them all: the read-only view
+_LinkCells, which sums the reps of one sweep of a fundamental domain over the
+norms 1..nmax (qfield._norm_reps), and those of a column m > nmax from that
+norm's own b-scan (qfield._norm_coords).  The linking form has rank 2, so the
+view keeps two int pairs per norm with classes and computes each cell when it
+is read.  boundary_components runs the per-norm scan through
+enumerate_norm_classes, and the closed form link_boundary_closed through
+_norm_coords, with no element built.  The component-pair double sum the cells
+reduce to is the test oracle tests/oracles.link_boundary.
 """
 
 from __future__ import annotations
@@ -66,22 +66,11 @@ def _rep_sum(reps) -> tuple[int, int]:
     return sum(a for a, _ in reps), sum(b for _, b in reps)
 
 
-def _link_numbers(field: FieldData, nmax: int, ms) -> _LinkCells:
-    """Lk(C_n, C_m) for n = 1..nmax and m in ms (ascending), keyed (n, m) in
-    that order, from the rep sums of one sweep (qfield._norm_reps), and of its
-    own norm-class scan for a column m > nmax."""
-    sums = {n: _rep_sum(group) for n, group in _norm_reps(field, nmax).items()}
-    for m in ms:
-        if m > nmax:
-            sums[m] = _rep_sum([(cls.rep.a, cls.rep.b) for cls in enumerate_norm_classes(field, m)])
-    return _LinkCells(field, sums, range(1, nmax + 1), ms)
-
-
 class _LinkCells(Mapping):
-    """Lk(C_n, C_m) for n in ns and m in ms (ascending), keyed (n, m) with n
-    the outer index, read-only, computed on access from sums, the rep sums
-    S_k = (sum of a, sum of b) of each norm k in ns and ms that has classes;
-    a norm without a key has none, and S_k = 0.
+    """Lk(C_n, C_m) for n = 1..nmax and m in ms (ascending), keyed (n, m)
+    with n the outer index, read-only, computed on access from the rep sums
+    of reps, the sweep of the norms 1..nmax (qfield._norm_reps when None),
+    and of a column m > nmax from its own scan (qfield._norm_coords).
 
     The component-pair double sum of 2 * min'(mu) * min'(nu) * <g Jmu, Jnu>
     (tests/oracles.link_boundary, with g division by eps - 1) is bilinear and
@@ -101,13 +90,17 @@ class _LinkCells(Mapping):
 
     __slots__ = ("_ns", "_ms", "_n_det", "_zero", "_values", "_rows", "_cols")
 
-    def __init__(self, field: FieldData, sums: dict, ns, ms):
+    def __init__(self, field: FieldData, nmax: int, ms, reps: dict | None = None):
         (g00, g01), (g10, g11) = field.gluing
-        self._ns, self._ms, self._n_det = ns, ms, field.n_det
+        self._ns, self._ms, self._n_det = range(1, nmax + 1), ms, field.n_det
         self._zero = Fraction(0, field.n_det)
         self._values = {0: self._zero}  # numerator -> its shared Fraction
+        # summed in one comprehension, so a sweep read here is freed before
+        # the factors are built
+        sums = {n: _rep_sum(group) for n, group in (_norm_reps(field, nmax) if reps is None else reps).items()}
+        sums.update((m, _rep_sum(_norm_coords(field, m))) for m in ms if m > nmax)
         # (gluing - I) S_n per row norm, and (index in ms, 2*S_m) per column norm
-        self._rows = {n: (g00 * a + g01 * b - a, g10 * a + g11 * b - b) for n, (a, b) in sums.items() if n in ns}
+        self._rows = {n: (g00 * a + g01 * b - a, g10 * a + g11 * b - b) for n, (a, b) in sums.items() if n <= nmax}
         self._cols = {m: (ms.index(m), 2 * a, 2 * b) for m, (a, b) in sums.items() if m in ms}
 
     def _value(self, num: int) -> Fraction:
@@ -118,7 +111,7 @@ class _LinkCells(Mapping):
         return value
 
     def _nums(self, n: int) -> list:
-        """The numerators of the cells (n, m) for m in ms, in order; n must be in ns."""
+        """The numerators of the cells (n, m) for m in ms, in order, for a row n in 1..nmax."""
         nums = [0] * len(self._ms)
         row = self._rows.get(n)
         if row is not None:
@@ -128,7 +121,7 @@ class _LinkCells(Mapping):
         return nums
 
     def _row(self, n: int) -> list:
-        """The cells (n, m) for m in ms, in order; n must be in ns."""
+        """The cells (n, m) for m in ms, in order, for a row n in 1..nmax."""
         if n not in self._rows:
             return [self._zero] * len(self._ms)
         return list(map(self._value, self._nums(n)))
@@ -255,5 +248,5 @@ class LinkTable:
 def link_table(field: FieldData, nmax: int) -> LinkTable:
     """All pairwise boundary linking numbers for n, m <= nmax."""
     _check_index("nmax", nmax)
-    entries = _link_numbers(field, nmax, range(1, nmax + 1))
+    entries = _LinkCells(field, nmax, range(1, nmax + 1))
     return LinkTable(d=field.d, nmax=nmax, n_det=field.n_det, entries=entries)

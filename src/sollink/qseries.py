@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import InputError, _check_index, _is_int
 from .qfield import FieldData, QuadElem, _norm_reps, enumerate_norm_classes
-from .cycles import _link_numbers, _LinkCells, _rep_sum
+from .cycles import _LinkCells
 from .special_fn import beta_scaled
 
 
@@ -107,7 +107,7 @@ def lk_qexpansion(field: FieldData, m: int, nmax: int) -> QExpansion:
     rational q-expansion in the first index."""
     _check_index("m", m)
     _check_index("nmax", nmax)
-    column = _link_numbers(field, nmax, (m,))
+    column = _LinkCells(field, nmax, (m,))
     coeffs = {n: column[n, m] for n in range(1, nmax + 1)}
     return QExpansion(d=field.d, m=m, weight=2, nmax=nmax, coeffs=coeffs)
 
@@ -170,11 +170,10 @@ def holomorphic_ratio_test(field: FieldData, nmax: int, k_range: int) -> RatioRe
     _check_index("k_range", k_range, _K_RANGE_MAX)
     ratios = {}
     omitted, inconsistent = [], []
-    ns = range(1, nmax + 1)
     # one sweep, shared by the Lk column and the orbit-minimum sums
     reps = _norm_reps(field, nmax)
-    column = _LinkCells(field, {n: _rep_sum(group) for n, group in reps.items()}, ns, (1,))
-    for n in ns:
+    column = _LinkCells(field, nmax, (1,), reps)
+    for n in range(1, nmax + 1):
         lk = column[n, 1]
         mn = _orbit_min_sum(field, reps.get(n, ()), k_range)
         if lk == 0:
@@ -442,7 +441,7 @@ def combine_interior(table: InteriorTable, field: FieldData, nmax: int) -> QExpa
     _check_index("m", table.m)
     _check_index("nmax", nmax)
     _check_covers(table, nmax)
-    column = _link_numbers(field, nmax, (table.m,))
+    column = _LinkCells(field, nmax, (table.m,))
     coeffs = {n: table.entries[n] - column[n, table.m] for n in range(1, nmax + 1)}
     limit = _int_digit_limit()
     if limit:

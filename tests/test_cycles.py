@@ -12,6 +12,7 @@ from sollink import (
     ConsistencyError,
     InputError,
     boundary_components,
+    enumerate_norm_classes,
     glueing_from_unit,
     link_boundary_closed,
     link_fiber,
@@ -318,24 +319,23 @@ def test_views_compare_as_their_cells():
     # it must agree with the dict equality of their cells
     f = field(13)
     ns = range(1, 6)
-    sums = {1: (1, 0), 3: (4, -2), 4: (0, 3)}
+    reps = {1: [(1, 0)], 3: [(1, -1), (3, -1)], 4: [(0, 3)]}  # S_3 = (4, -2)
     cases = [
-        ({n: (-a, -b) for n, (a, b) in sums.items()}, True),  # S and -S give identical cells
-        ({**sums, 5: (0, 0)}, True),  # a zero sum zeroes its row and column, as no key does
-        ({**sums, 3: (4, -1)}, False),
-        ({1: (1, 0)}, False),
+        ({n: [(-a, -b) for a, b in group] for n, group in reps.items()}, True),  # S and -S give identical cells
+        ({**reps, 5: [(1, 2), (-1, -2)]}, True),  # a zero sum zeroes its row and column, as no key does
+        ({**reps, 3: [(4, -1)]}, False),
+        ({1: [(1, 0)]}, False),
     ]
-    view = cycles._LinkCells(f, sums, ns, ns)
-    for other_sums, equal in cases:
-        other = cycles._LinkCells(f, other_sums, ns, ns)
+    view = cycles._LinkCells(f, 5, ns, reps)
+    for other_reps, equal in cases:
+        other = cycles._LinkCells(f, 5, ns, other_reps)
         assert (view == other) is (other == view) is equal
         assert (dict(view.items()) == dict(other.items())) is equal
     # the same numerators over another denominator are other cells
-    halved = cycles._LinkCells(SimpleNamespace(gluing=f.gluing, n_det=2 * f.n_det), sums, ns, ns)
+    halved = cycles._LinkCells(SimpleNamespace(gluing=f.gluing, n_det=2 * f.n_det), 5, ns, reps)
     assert view != halved and dict(view.items()) != dict(halved.items())
     # other keys: the Mapping's comparison, never equal
-    assert view != cycles._LinkCells(f, sums, ns, range(1, 5))
-    assert view != cycles._LinkCells(f, sums, range(2, 6), ns)
+    assert view != cycles._LinkCells(f, 5, range(1, 5), reps)
 
 
 def test_link_table_of_a_hundred_million_cells():
@@ -373,3 +373,19 @@ def test_matches_sol_model(field5):
         x, y = fld.element(xa, xb), fld.element(ya, yb)
         direct = Fraction(symplectic_pairing(x * g1.conj(), y), g1.norm())  # <x/g1, y>
         assert link_fiber(swapped, (xb, xa), (yb, ya)) == direct
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 13, 17, 21, 79, 94])
+def test_link_table_is_the_sol_linking_form_of_its_rep_sums(d):
+    # each cell is -2 times the linking number, in the cusp's Sol manifold, of
+    # the fiber classes S_n and S_m, the sums of the reduced norm-n and norm-m
+    # reps (README's "-2 times the paper's boundary term"); S_k comes from the
+    # per-norm scan, not from the sweep the table reads
+    f = field(d)
+    sol = glueing_from_unit(f)
+    sums = {}
+    for k in range(1, 16):
+        reps = [cls.rep for cls in enumerate_norm_classes(f, k)]
+        sums[k] = (sum(r.a for r in reps), sum(r.b for r in reps))
+    for (n, m), value in link_table(f, 15).entries.items():
+        assert value == -2 * link_fiber(sol, sums[n], sums[m])

@@ -332,20 +332,34 @@ def test_columns_beyond_nmax_match_link_boundary(d, m):
 
 
 def test_tables_read_their_norms_from_one_sweep(monkeypatch, field5):
-    calls = Counter()
+    # one sweep of the norms 1..nmax per table or column, and one per-norm
+    # scan for a column past nmax
+    sweeps, scans = Counter(), Counter()
 
-    def counting(f, n):
-        calls[n] += 1
-        return sollink.qfield.enumerate_norm_classes(f, n)
+    def sweep(f, nmax):
+        sweeps[nmax] += 1
+        return sollink.qfield._norm_reps(f, nmax)
 
-    monkeypatch.setattr(sollink.qseries, "enumerate_norm_classes", counting)
-    monkeypatch.setattr(sollink.cycles, "enumerate_norm_classes", counting)
-    link_table(field5, 40)
-    lk_qexpansion(field5, 3, 40)
-    assert calls == {}
-    # a column past nmax keeps its own scan
+    def scan(f, n):
+        scans[n] += 1
+        return sollink.qfield._norm_coords(f, n)
+
+    monkeypatch.setattr(sollink.cycles, "_norm_reps", sweep)
+    monkeypatch.setattr(sollink.qseries, "_norm_reps", sweep)
+    monkeypatch.setattr(sollink.cycles, "_norm_coords", scan)
+    interior = InteriorTable(m=3, entries={n: Fraction(n, 7) for n in range(1, 41)})
+    for call in (
+        lambda: link_table(field5, 40),
+        lambda: lk_qexpansion(field5, 3, 40),
+        lambda: combine_interior(interior, field5, 40),
+        lambda: holomorphic_ratio_test(field5, 40, 5),
+    ):
+        sweeps.clear()
+        call()
+        assert (sweeps, scans) == ({40: 1}, {})
+    sweeps.clear()
     lk_qexpansion(field5, 50, 10)
-    assert calls == {50: 1}
+    assert (sweeps, scans) == ({10: 1}, {50: 1})
 
 
 def test_eval_params_validation():
