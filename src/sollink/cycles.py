@@ -16,9 +16,11 @@ norms 1..nmax (qfield._norm_reps), and those of a column m > nmax from that
 norm's own b-scan (qfield._norm_coords).  The linking form has rank 2, so the
 view keeps two int pairs per norm with classes and computes each cell when it
 is read.  boundary_components runs the per-norm scan through
-enumerate_norm_classes, and the closed form link_boundary_closed through
-_norm_coords, with no element built.  The component-pair double sum the cells
-reduce to is the test oracle tests/oracles.link_boundary.
+enumerate_norm_classes.  link_boundary_closed is the cell (n, 1) of one norm:
+the same formula, with S_n from that norm's scan (_norm_coords) and S_1 = 1,
+so no element is built.  The component-pair double sum the cells reduce to is
+the test oracle tests/oracles.link_boundary, and the closed form summed class
+by class is tests/oracles.link_boundary_closed_reference.
 """
 
 from __future__ import annotations
@@ -63,7 +65,12 @@ def boundary_components(field: FieldData, n) -> list[BoundaryComponent]:
 
 def _rep_sum(reps) -> tuple[int, int]:
     """(sum of a, sum of b) over the rep coordinates (a, b) in reps."""
-    return sum(a for a, _ in reps), sum(b for _, b in reps)
+    # a loop: two generator sums cost several times this on the few reps of a norm
+    sa = sb = 0
+    for a, b in reps:
+        sa += a
+        sb += b
+    return sa, sb
 
 
 class _LinkCells(Mapping):
@@ -194,36 +201,26 @@ class _RowValues(ValuesView):
 
 @functools.cache
 def _check_norm_one(field: FieldData) -> None:
-    """ConsistencyError when the field has no norm-1 class.  A pass is cached
-    per field, so the n = 1 scan runs once, not on every closed-form call."""
+    """ConsistencyError when the field has no norm-1 class, whose rep is 1:
+    this guards S_1 = 1, the one assumption of link_boundary_closed.  A pass
+    is cached per field, so the n = 1 scan runs once, not on every call."""
     if not enumerate_norm_classes(field, 1):
         raise ConsistencyError("no norm-1 class; unit bookkeeping is broken")
 
 
 def link_boundary_closed(field: FieldData, n) -> Fraction:
-    """Closed form for m = 1: sum over reduced classes mu of the w-coordinate
-    of X = (mu + mu'*eps)/(eps - 1), i.e. 2*X/sqrt(disc).
+    """Lk(C_n, C_1) from the norm-n scan alone: the cell (n, 1) of _LinkCells.
 
-    On ints: Y = (mu + mu'*eps)*(eps - 1)' = p + q*w and X = Y/N(eps - 1), so
-    the result is Fraction(sum of q, N(eps - 1)).  Each X must be a rational
-    multiple of sqrt(disc); a nonzero trace 2p + s0*q raises ConsistencyError.
-    The sum runs over the int rep coordinates of the norm's b-scan
-    (qfield._norm_coords), so no element is built.
+    With S_1 = 1 the cell is 2*<S_n/(eps - 1), 1>, twice the w-coordinate of
+    S_n*(eps - 1)' = (gluing - I) S_n over N(eps - 1).  S_n sums the int rep
+    coordinates of the norm's b-scan (qfield._norm_coords), so no element is
+    built.
     """
     _check_norm_one(field)
     _check_index("norm", n)
-    s0 = field.s0
-    (g00, g01), (g10, g11) = field.gluing
-    total = 0
-    for a, b in _norm_coords(field, n):
-        # mu*eps' = gluing (a, b), and mu'*eps is its conjugate, with w' = s0 - w
-        e0, e1 = g00 * a + g01 * b, g10 * a + g11 * b
-        x0, x1 = a + e0 + s0 * e1, b - e1  # mu + mu'*eps
-        p, q = g00 * x0 + g01 * x1 - x0, g10 * x0 + g11 * x1 - x1  # Y, as (gluing - I)(x0, x1)
-        if 2 * p + s0 * q:
-            raise ConsistencyError(f"closed-form term for {QuadElem(field, a, b)!r} is not rational*sqrt(disc)")
-        total += q
-    return Fraction(total, field.n_det)
+    _, (g10, g11) = field.gluing
+    a, b = _rep_sum(_norm_coords(field, n))
+    return Fraction(2 * (g10 * a + (g11 - 1) * b), field.n_det)
 
 
 @dataclass(frozen=True)

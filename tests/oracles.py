@@ -277,9 +277,12 @@ def qexp_output_reference(q, fmt: str) -> str:
 
 
 def link_boundary_closed_reference(field: FieldData, n) -> Fraction:
-    """cycles.link_boundary_closed with one QuadElem per class: the sum of the
-    w-coordinates of X = (mu + mu'*eps)/(eps - 1), each checked to have trace 0.
-    X = Y/N(eps - 1) with Y = (mu + mu'*eps)*(eps - 1)' in O_K."""
+    """Lk(C_n, C_1) by the closed form: the sum over the reduced classes mu of
+    the w-coordinates of X = (mu + mu'*eps)/(eps - 1), one QuadElem per class,
+    each X checked to have trace 0.  X = Y/N(eps - 1) with
+    Y = (mu + mu'*eps)*(eps - 1)' in O_K.  Only this route forms X: the library
+    (cycles.link_boundary_closed) reads the value as the cell (n, 1) of the rep
+    sums with S_1 = 1, so this is the formula-independent check of that cell."""
     if not enumerate_norm_classes(field, 1):
         raise ConsistencyError("no norm-1 class; unit bookkeeping is broken")
     eps = field.eps

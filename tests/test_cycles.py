@@ -110,9 +110,12 @@ def test_link_boundary_closed_matches(field5, field13):
             assert link_boundary_closed(f, n) == link_boundary(f, n, 1)
 
 
-@pytest.mark.parametrize("d, nmax", [(2, 60), (3, 60), (5, 60), (13, 60), (17, 60), (21, 60), (46, 60), (94, 6)])
+@pytest.mark.parametrize(
+    "d, nmax", [(2, 60), (3, 60), (5, 60), (13, 60), (17, 60), (21, 60), (46, 60), (94, 12), (389, 6)]
+)
 def test_link_boundary_closed_matches_reference(d, nmax):
-    # the int closed form against one QuadElem division per class
+    # the cell (n, 1) of the rep sums against the per-class closed form, one
+    # QuadElem division per class: tier-1's formula-independent check of it
     f = field(d)
     for n in range(1, nmax + 1):
         value = link_boundary_closed(f, n)

@@ -333,7 +333,7 @@ def test_columns_beyond_nmax_match_link_boundary(d, m):
 
 def test_tables_read_their_norms_from_one_sweep(monkeypatch, field5):
     # one sweep of the norms 1..nmax per table or column, and one per-norm
-    # scan for a column past nmax
+    # scan for a column past nmax or a lone closed-form norm
     sweeps, scans = Counter(), Counter()
 
     def sweep(f, nmax):
@@ -360,6 +360,12 @@ def test_tables_read_their_norms_from_one_sweep(monkeypatch, field5):
     sweeps.clear()
     lk_qexpansion(field5, 50, 10)
     assert (sweeps, scans) == ({10: 1}, {50: 1})
+    # a lone norm: its own scan and no sweep (the cached norm-1 check runs
+    # through enumerate_norm_classes)
+    sweeps.clear()
+    scans.clear()
+    link_boundary_closed(field5, 9973)
+    assert (sweeps, scans) == ({}, {9973: 1})
 
 
 def test_eval_params_validation():
