@@ -7,13 +7,18 @@ identical across runs for identical flags (and seed).  Exit codes: 0 success,
 
 Each subcommand is declared once, by the _command decorator on its handler,
 and imports the layers and stdlib modules it runs when it runs, so a call
-loads only what it uses and a usage error exits before any layer is loaded.
-main builds the field of a --d subcommand as args.field, so a bad --d is
-reported before the handler checks its own flags.  A handler runs every
+loads only what it uses.  main builds the field of a --d subcommand as
+args.field, so every such call loads qfield and a bad --d is reported before
+the handler checks its own flags.  A handler checks its other flags before it
+imports a layer, except where the check is the library's own (qexp's --m and
+--nmax, ratio-test's --k-range, w-eval's tau range and truncations, combine's
+table), which loads that layer first.  A handler runs every
 check and builds its result before it returns its exit code and its output as
 an iterable of text chunks, so a failing call prints nothing.  It renders
 through _render, or for a range command through _render_rows, which formats
 a fixed number of lines per chunk; both load json only for --format json.
+entry, the process entry point, freezes the collector after main returns, so
+the interpreter's collections at exit skip what the call loaded.
 """
 
 from __future__ import annotations
@@ -213,11 +218,11 @@ def _run_field_info(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     ("--b", dict(required=True, help="second circle class u,v")),
 )
 def _run_sol_link(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    from . import sol
-
     f = _parse_ints(args.f, 4, "--f")
     a = _parse_ints(args.a, 2, "--a")
     b = _parse_ints(args.b, 2, "--b")
+    from . import sol
+
     m = sol.make_sol((f[:2], f[2:]))
     value = sol.link_fiber(m, a, b)
     payload = {"f": list(f), "a": list(a), "b": list(b), "link": str(value)}
@@ -234,12 +239,12 @@ _CAP_PROBES = ((1, 0), (0, 1), (1, 1), (2, 1), (1, -2))
     ("--a", dict(required=True, help="circle class x,y")),
 )
 def _run_sol_cap(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    f = _parse_ints(args.f, 4, "--f")
+    a = _parse_ints(args.a, 2, "--a")
     from fractions import Fraction
 
     from . import sol
 
-    f = _parse_ints(args.f, 4, "--f")
-    a = _parse_ints(args.a, 2, "--a")
     m = sol.make_sol((f[:2], f[2:]))
     cap = sol.build_cap(m, a)
     period = sol.area_period(cap)
@@ -282,10 +287,10 @@ def _run_sol_cap(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     d=True,
 )
 def _run_boundary(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    from . import cycles
-
     _check_index("--n", args.n)
     _check_scan_budget(args.field, 0, args.n)
+    from . import cycles
+
     comps = cycles.boundary_components(args.field, args.n)
     payload = {
         "d": args.d,
@@ -309,11 +314,12 @@ def _run_boundary(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 @_command("lk-table", "all pairwise boundary linking numbers up to nmax", _NMAX, d=True, tables=True)
 def _run_lk_table(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
-    from . import cycles
-
-    if args.nmax > 0 and args.nmax * args.nmax > _CELLS_MAX:
+    _check_index("nmax", args.nmax)  # the library's check, worded as link_table words it
+    if args.nmax * args.nmax > _CELLS_MAX:
         raise InputError(f"--nmax {args.nmax} gives {args.nmax * args.nmax} cells, more than {_CELLS_MAX}")
     _check_scan_budget(args.field, args.nmax)
+    from . import cycles
+
     table = cycles.link_table(args.field, args.nmax)
     line = {"json": '    "{},{}": "{}"', "csv": "{},{},{}", "text": "Lk(C{}, C{}) = {}"}[args.format].format
     lines = (line(n, m, v) for (n, m), v in table.entries.items())  # in key order, n the outer index
@@ -355,9 +361,9 @@ def _run_qexp(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     d=True,
 )
 def _run_w_eval(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    tau = parse_tau(args.tau)
     from . import qseries
 
-    tau = parse_tau(args.tau)
     params = qseries.WEvalParams(tau=tau, k_range=args.k_range, box=args.box, n_cut=args.n_cut)
     _check_scan_budget(args.field, args.n_cut, k_range=args.k_range)
     rep = qseries.eval_W(args.field, params)
@@ -507,7 +513,18 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """The process entry point of `sollink` and `python -m sollink.cli`:
+    main(), then exit with its code.  Before it exits it moves every object
+    the call loaded to the collector's permanent generation (gc.freeze), so
+    the full collections the interpreter runs at exit, which gc.disable does
+    not stop, skip them; refcount frees, atexit handlers and the flushes of
+    stdout and stderr still run.  main() leaves the collector alone, as
+    in-process callers keep running."""
+    import gc
+
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -1071,6 +1072,28 @@ def test_usage_error_with_a_broken_stderr_exits_2(argv):
     finally:
         os.close(err)
     assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+def test_module_entry_point_matches_main(tmp_path, capsys):
+    # python -m sollink.cli runs entry(), which freezes the collector after
+    # main() has written the output, so stdout and --output keep their bytes
+    argv = ["lk-table", "--d", "5", "--nmax", "6", "--format", "csv"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "table.csv"
+    for extra in ([], ["--output", str(target)]):
+        proc = subprocess.run([sys.executable, "-m", "sollink.cli", *argv, *extra], capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert (target.read_bytes() if extra else proc.stdout) == out.encode()
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # only entry() freezes, as the process exits; an in-process caller keeps
+    # collecting what it loads
+    before = gc.get_freeze_count()
+    assert run(capsys, "lk-table", "--d", "5", "--nmax", "3")[0] == 0
+    assert run(capsys, "field-info", "--d", "4")[0] == 2
+    assert gc.get_freeze_count() == before
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """A CLI call imports only the layers its subcommand runs, and the library
-needs nothing outside the standard library.
+needs nothing outside the standard library; the process entry point freezes
+the collector as it exits.
 
 Each case runs in a fresh interpreter, which lists the modules it has loaded
 once the call returns.
@@ -41,9 +42,19 @@ print(*sorted(set(sys.modules) - before), sep="\\n", file=sys.stderr)
 """
 
 
-def loaded(*argv) -> set:
+# entry() as the console script runs it, with an atexit handler that prints
+# the collector's frozen-object count once the call has exited.
+EXIT_PROBE = """
+import atexit, gc
+from sollink import cli
+atexit.register(lambda: print(gc.get_freeze_count()))
+cli.entry()
+"""
+
+
+def loaded(*argv, code: int = 0) -> set:
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return set(proc.stderr.split())
 
 
@@ -51,6 +62,17 @@ def test_importing_the_cli_loads_no_layer():
     modules = loaded()
     assert {m for m in modules if m.startswith("sollink.")} == {"sollink.cli", "sollink.errors"}
     assert not modules & {"dataclasses", "json"}
+
+
+# Calls that exit 2 on a flag the CLI checks itself: they load only qfield,
+# for --d, and not the layers the call would run.
+USAGE_ERRORS = [
+    (("boundary", "--d", "5", "--n", "0"), {"qfield"}, {"cycles", "sol", "qseries", "special_fn", "selftest"}),
+    (("lk-table", "--d", "5", "--nmax", "0"), {"qfield"}, {"cycles", "sol", "qseries", "special_fn", "selftest"}),
+    (("w-eval", "--d", "5", "--tau", "abc"), {"qfield"}, {"qseries", "cycles", "special_fn", "sol", "selftest"}),
+    (("sol-link", "--f", "2,1,1", "--a", "1,0", "--b", "0,1"), set(), {"sol", "qfield", "cycles", "qseries", "selftest"}),
+    (("sol-cap", "--f", "2,1,1,1", "--a", "x"), set(), {"sol", "qfield", "cycles", "qseries", "selftest"}),
+]
 
 
 @pytest.mark.parametrize(
@@ -61,10 +83,11 @@ def test_importing_the_cli_loads_no_layer():
         (("sol-cap", "--f", "2,1,1,1", "--a", "1,0"), {"sol"}, {"qfield", "cycles", "qseries", "special_fn", "selftest"}),
         (("qexp", "--d", "5", "--nmax", "4"), {"cycles", "qseries"}, {"sol", "selftest"}),
         (("field-info", "--d", "5"), {"qfield"}, {"sol", "cycles", "qseries", "special_fn", "selftest"}),
+        *USAGE_ERRORS,
     ],
 )
 def test_a_subcommand_loads_only_its_layers(argv, runs, skips):
-    modules = loaded(*argv)
+    modules = loaded(*argv, code=2 if (argv, runs, skips) in USAGE_ERRORS else 0)
     assert {f"sollink.{layer}" for layer in runs} <= modules
     assert not modules & {f"sollink.{layer}" for layer in skips}
 
@@ -104,3 +127,21 @@ def test_the_library_loads_only_the_standard_library():
     tops = {m.partition(".")[0] for m in modules}
     assert "sollink" in tops
     assert {m for m in tops if m != "sollink" and m not in sys.stdlib_module_names} == set()
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (("field-info", "--d", "5"), 0, ["d: 5"], ""),
+        (("field-info", "--d", "4"), 2, [], "error: d must be squarefree, got 4\n"),
+    ],
+    ids=["success", "usage error"],
+)
+def test_entry_freezes_the_collector_and_runs_atexit(argv, code, out, err):
+    # the atexit handler runs after entry() has raised SystemExit, so it
+    # prints the count that the interpreter's exit collections see
+    proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, *argv], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    *lines, count = proc.stdout.splitlines()
+    assert lines[:1] == out
+    assert int(count) > 0
